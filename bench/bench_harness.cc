@@ -20,7 +20,6 @@ BenchHarness::BenchHarness(int argc, char** argv, std::string name)
   sim_threads_ = static_cast<size_t>(args.GetInt("sim-threads", 0));
   effective_sim_threads_.store(sim_threads_, std::memory_order_relaxed);
   serial_ = args.GetBool("serial", false);
-  egress_batch_ = !args.GetBool("no-egress-batch", false);
   if (args.GetBool("no-simd", false)) {
     ForceScalarSimd();
   }
@@ -95,10 +94,6 @@ int BenchHarness::Finish() const {
   // "avx2" | "scalar" — the SIMD dispatch level the trials ran at (lowered
   // by --no-simd / NETCACHE_SIMD=OFF / a non-AVX2 host).
   w.Field("simd_level", ActiveSimdLevelName());
-  // Whether links shipped transmit groups as burst delivery records. The
-  // legs are byte-identical in simulated outputs but not in wall-clock, so
-  // the regression gate refuses to compare across this bit.
-  w.Field("egress_batch", egress_batch_ ? 1 : 0);
   w.EndObject();
   w.Name("trials");
   w.BeginArray();

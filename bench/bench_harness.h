@@ -18,9 +18,6 @@
 //                      (0 = serial dispatcher)
 //   --no-simd          force the scalar SIMD level for the whole process
 //                      (same effect as NETCACHE_SIMD=OFF in the environment)
-//   --no-egress-batch  ship multi-packet transmit groups as per-packet
-//                      delivery records instead of one burst record
-//                      (byte-identical outputs; the equivalence leg)
 //   --profile-out=FILE wall-clock profile of the whole run as Chrome
 //                      trace-event JSON (Perfetto-loadable; aggregate with
 //                      tools/profile_report.py) — installed for the process
@@ -98,10 +95,6 @@ class BenchHarness {
   // trials out, --sim-threads parallelizes inside one trial.
   size_t sim_threads() const { return sim_threads_; }
 
-  // Whether DES trials should let links ship transmit groups as burst
-  // records (Simulator::set_egress_batching); --no-egress-batch clears it.
-  bool egress_batching() const { return egress_batch_; }
-
   // DES benches report the worker count their simulator actually used (see
   // EffectiveSimThreads below) — 0 when the partitioned schedule fell back
   // to the serial dispatcher. Thread-safe: trials may run on sweep workers.
@@ -130,7 +123,6 @@ class BenchHarness {
   size_t sim_threads_ = 0;
   std::atomic<size_t> effective_sim_threads_{0};
   bool serial_ = false;
-  bool egress_batch_ = true;
   std::deque<TrialRecord> trials_;
   // Destroyed after every trial's simulator (trials are function-local).
   std::unique_ptr<Profiler> profiler_;

@@ -408,8 +408,9 @@ BENCHMARK(BM_RouteFlatTableFind);
 // --- Harness trials (machine-readable, gated by scripts/bench_regress.py) ---
 //
 // Two trial pairs feed the CI perf gate: SketchHash (one-hash digest vs
-// per-probe seeded hashing) and Burst (ProcessBurst vs per-packet
-// ProcessPacket on an identical switch + packet stream). Each records a
+// per-probe seeded hashing) and Burst (32-packet ProcessBurst vs one-packet
+// bursts through the ProcessPacket adapter, on an identical switch + packet
+// stream; "Burst/single" keeps its label). Each records a
 // deterministic checksum/counter metric — byte-stable across machines — plus
 // wall_ms/events for the --perf one-sided comparison.
 

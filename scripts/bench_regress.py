@@ -25,18 +25,14 @@ machine and are only compared when --perf is given, against the looser
 --perf-tolerance, and only in the slower direction (faster is never flagged).
 
 Both documents may carry a top-level "config" object recording the run setup
-({"threads", "sim_threads", "sim_threads_effective", "serial", "simd_level",
-"egress_batch"}, written by bench_harness). When both sides have one and they
-disagree, the comparison is refused outright: wall-clock numbers are
-meaningless across threading setups, --sim-threads>=1 runs a different
-(windowed) event schedule than the legacy serial dispatcher, a "scalar"
-simd_level run exercises a different codepath than an "avx2" one (batched
-digests/sketch probes and grouped table scans are bypassed entirely), and an
-egress_batch=0 run (--no-egress-batch) ships per-packet delivery records
-where the default ships one coalesced record per transmit group — same
-results by construction, but a different event-dispatch load, so even perf
-deltas would be apples to oranges. Re-run the candidate with the baseline's
-flags instead.
+({"threads", "sim_threads", "sim_threads_effective", "serial", "simd_level"},
+written by bench_harness). When both sides have one and they disagree, the
+comparison is refused outright: wall-clock numbers are meaningless across
+threading setups, --sim-threads>=1 runs a different (windowed) event
+schedule than the legacy serial dispatcher, and a "scalar" simd_level run
+exercises a different codepath than an "avx2" one (the SIMD kernels fall
+back to their scalar twins). Re-run the candidate with the baseline's flags
+instead.
 
 Exit status: 0 when everything matches, 1 on any regression, missing trial,
 or missing metric. New trials/metrics present only in the candidate are
@@ -166,9 +162,8 @@ def main():
             f"  baseline  {args.baseline}: {json.dumps(base_cfg, sort_keys=True)}\n"
             f"  candidate {args.candidate}: {json.dumps(cand_cfg, sort_keys=True)}\n"
             "  Re-run the candidate with the baseline's --threads/--sim-threads/"
-            "--serial/--no-simd/--no-egress-batch flags (simd_level and "
-            "egress_batch must match: scalar vs AVX2 and per-packet vs "
-            "coalesced delivery are different codepaths).")
+            "--serial/--no-simd flags (simd_level must match: scalar and "
+            "AVX2 are different codepaths).")
     if base_doc.get("bench") != cand_doc.get("bench"):
         print(f"note: comparing different benches: {base_doc.get('bench')!r} "
               f"vs {cand_doc.get('bench')!r}")

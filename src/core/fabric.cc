@@ -141,8 +141,7 @@ Fabric::Fabric(const FabricConfig& config)
     }
     // Cache-update rejects deliver on the owning rack's LP stream; the
     // controller defers its cross-partition reaction onto the global stream
-    // itself (CacheController::RegisterServer), so no delivery classifier
-    // is needed.
+    // itself (CacheController::RegisterServer).
     sim_.ConfigurePartitions(spines + racks, config.sim_threads);
     if (!controllers_.empty()) {
       // LP-context ScheduleGlobal calls (hot-report pump, reject deferral)

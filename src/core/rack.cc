@@ -75,8 +75,7 @@ Rack::Rack(const RackConfig& config)
     }
     // Cache-update rejects deliver on the owning server's LP stream like any
     // other packet; the controller defers its cross-partition reaction onto
-    // the global stream itself (CacheController::RegisterServer), so no
-    // delivery classifier is needed.
+    // the global stream itself (CacheController::RegisterServer).
     sim_.ConfigurePartitions(1 + servers_.size(), config_.sim_threads);
     if (config_.cache_enabled) {
       // Every ScheduleGlobal issued from LP context (hot-report pump,

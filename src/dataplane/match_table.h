@@ -28,48 +28,12 @@ class ExactMatchTable {
   explicit ExactMatchTable(size_t capacity) : capacity_(capacity) {}
 
   // Data-plane lookup. Returns the action data or nullptr on a table miss.
-  const Action* Match(const Key& key) const {
-    ++lookups_;
-    const Action* a = entries_.Find(key);
-    if (a != nullptr) {
-      ++hits_;
-    }
-    return a;
-  }
+  const Action* Match(const Key& key) const { return entries_.Find(key); }
 
-  // Counted lookup with a precomputed hash (== KeyHasher()(key), which the
-  // burst path carries on the packet as KeyDigest::h1).
-  const Action* MatchWithHash(const Key& key, size_t h) const {
-    ++lookups_;
-    const Action* a = entries_.FindWithHash(h, key);
-    if (a != nullptr) {
-      ++hits_;
-    }
-    return a;
-  }
-
-  // Uncounted lookup for the burst pipeline's staging pass: the pipeline
-  // peeks every packet's entry up front, then books exactly one
-  // CountMatch(hit) per packet at its in-order turn, so lookup/hit totals
-  // stay identical to the single-packet path even when a packet is
-  // re-peeked after a table mutation mid-burst.
+  // Lookup with a precomputed hash (== KeyHasher()(key), which the data
+  // plane carries on the packet as KeyDigest::h1).
   const Action* PeekWithHash(const Key& key, size_t h) const {
     return entries_.FindWithHash(h, key);
-  }
-  void CountMatch(bool hit) const {
-    ++lookups_;
-    if (hit) {
-      ++hits_;
-    }
-  }
-
-  // Bulk twin for the burst pipeline's report-safe prefix: books `lookups`
-  // packets of which `hits` matched, in one add each — total-identical to
-  // that many CountMatch calls (the counters are plain sums, so per-packet
-  // ordering is not observable).
-  void CountMatchRun(uint64_t lookups, uint64_t hits) const {
-    lookups_ += lookups;
-    hits_ += hits;
   }
 
   // Warms the home bucket for a later *WithHash lookup.
@@ -114,14 +78,9 @@ class ExactMatchTable {
   size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
 
-  uint64_t lookups() const { return lookups_; }
-  uint64_t hits() const { return hits_; }
-
  private:
   size_t capacity_;
   FlatTable<Key, Action, KeyHasher> entries_;
-  mutable uint64_t lookups_ = 0;
-  mutable uint64_t hits_ = 0;
 };
 
 }  // namespace netcache

@@ -53,14 +53,12 @@ NetCacheSwitch::NetCacheSwitch(Simulator* sim, std::string name, const SwitchCon
 
 void NetCacheSwitch::HandlePacket(const Packet& pkt, uint32_t in_port) {
   NC_CHECK(sim_ != nullptr) << "switch not attached to a simulator";
-  scratch_emits_.clear();
-  ProcessPacket(pkt, in_port, scratch_emits_);
-  for (auto& emit : scratch_emits_) {
-    // Park the outgoing packet in the pool so the emit closure stays within
-    // the inline-event capture budget (no per-emit heap allocation).
-    Packet* out_pkt = sim_->packet_pool().Acquire();
-    *out_pkt = std::move(emit.pkt);
-    ScheduleEmit(emit.port, out_pkt);
+  // A one-packet burst over a pooled copy; the pipeline steals the copy when
+  // it forwards it.
+  BurstArrival arrival{sim_->packet_pool().Acquire(pkt), in_port};
+  HandleBurst(&arrival, 1);
+  if (arrival.pkt != nullptr) {
+    sim_->packet_pool().Release(arrival.pkt);
   }
 }
 
@@ -92,8 +90,8 @@ void NetCacheSwitch::HandleBurst(BurstArrival* arrivals, size_t count) {
   NC_CHECK(sim_ != nullptr) << "switch not attached to a simulator";
   // Bridges the burst pipeline to the event queue: burst-owned packets are
   // already pooled and go straight to ScheduleEmit; scratch packets (from
-  // the barrier path) are copied into the pool first, exactly like
-  // HandlePacket does.
+  // the barrier path) are parked in the pool first, so the emit closure
+  // stays within the inline-event capture budget.
   class ScheduleSink : public EmitSink {
    public:
     explicit ScheduleSink(NetCacheSwitch* sw) : sw_(sw) {}
@@ -123,14 +121,33 @@ std::vector<NetCacheSwitch::Emit> NetCacheSwitch::ProcessPacket(const Packet& pk
 
 void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
                                    std::vector<Emit>& out) {
-  size_t first_emit = out.size();
+  // Every emit is moved into `out`: the stolen one is the local copy below,
+  // the others are barrier scratch the sink may not keep.
+  class AppendSink : public EmitSink {
+   public:
+    explicit AppendSink(std::vector<Emit>& out) : out_(out) {}
+    void OnEmit(uint32_t port, Packet* pkt, bool /*from_burst*/) override {
+      out_.push_back(Emit{port, std::move(*pkt)});
+    }
+
+   private:
+    std::vector<Emit>& out_;
+  };
+  Packet work = pkt;
+  BurstArrival arrival{&work, in_port};
+  AppendSink sink(out);
+  ProcessBurst(std::span<BurstArrival>(&arrival, 1), sink);
+}
+
+void NetCacheSwitch::ProcessBarrier(const Packet& pkt, uint32_t in_port,
+                                    std::vector<Emit>& out) {
   ++counters_.packets;
 
   // Parser: only packets on the reserved L4 port run the NetCache modules;
   // everything else is plain L2/L3 traffic (§4.1).
   if (!IsNetCacheQuery(pkt)) {
     ForwardByDst(Packet(pkt), out);
-    ApplySnakeForward(in_port, out, first_emit);
+    ApplySnakeForward(in_port, out);
     return;
   }
   ++counters_.netcache_queries;
@@ -139,13 +156,10 @@ void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
   // Ingress hash engine: one pass over the key; every downstream table,
   // sketch, and server-side index derives from the digest (or reuses one a
   // previous hop already computed).
-  if (work.is_netcache && work.digest.Empty()) {
+  if (work.digest.Empty()) {
     work.digest = KeyDigest::Of(work.nc.key);
   }
   switch (work.nc.op) {
-    case OpCode::kGet:
-      ProcessRead(work, out);
-      break;
     case OpCode::kPut:
     case OpCode::kDelete:
       ProcessWrite(work, out);
@@ -158,17 +172,17 @@ void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
       ForwardByDst(std::move(work), out);
       break;
   }
-  ApplySnakeForward(in_port, out, first_emit);
+  ApplySnakeForward(in_port, out);
 }
 
 void NetCacheSwitch::ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& sink) {
   size_t i = 0;
   while (i < arrivals.size()) {
     if (!IsNetCacheGet(*arrivals[i].pkt)) {
-      // Barrier packet (write, cache update, reply, plain L3): ordinary
-      // single-packet pipeline at its in-order turn.
+      // Barrier packet (write, cache update, reply, plain L3): per-packet
+      // pipeline at its in-order turn.
       scratch_emits_.clear();
-      ProcessPacket(*arrivals[i].pkt, arrivals[i].port, scratch_emits_);
+      ProcessBarrier(*arrivals[i].pkt, arrivals[i].port, scratch_emits_);
       for (Emit& e : scratch_emits_) {
         sink.OnEmit(e.port, &e.pkt, /*from_burst=*/false);
       }
@@ -185,36 +199,29 @@ void NetCacheSwitch::ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& si
 }
 
 void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) {
-  // The SIMD fast path batches stage 1's digests and stage 2.5's cold-miss
-  // statistics; forcing the scalar level (--no-simd / NETCACHE_SIMD=OFF)
-  // runs the original per-packet pipeline. Both produce byte-identical
-  // output — the batched forms are proven order-equivalent (common/simd.h,
-  // sketch/count_min.h, sketch/heavy_hitter.h) and determinism_test diffs
-  // the two end to end.
-  const bool use_simd = ActiveSimdLevel() != SimdLevel::kScalar;
+  // Stages are chosen by run length alone. The batch stages (stage 1's
+  // digest gather, stage 2.5's cold-miss prefix) have a fixed setup cost a
+  // lone packet never amortizes, so a run of one digests inline and leaves
+  // its statistics to stage 3. Both forms are byte-identical — the batched
+  // ones are proven order-equivalent (common/simd.h, sketch/count_min.h,
+  // sketch/heavy_hitter.h) — and the simd:: kernels pick their own level.
+  const bool batch = run.size() > 1;
 
   // Stage 1 (ingress hash + match dispatch): digest every key once and warm
   // the lookup table's home buckets.
   {
     ProfScope prof(ProfCat::kSwitchDigest);
     prof.set_arg(run.size());
-    if (use_simd) {
+    if (batch) {
       BatchDigestRun(run);
-    } else {
-      for (BurstArrival& a : run) {
-        Packet& p = *a.pkt;
-        if (p.digest.Empty()) {
-          p.digest = KeyDigest::Of(p.nc.key);
-        }
-        lookup_.Prefetch(static_cast<size_t>(p.digest.h1));
-      }
+    } else if (run[0].pkt->digest.Empty()) {
+      run[0].pkt->digest = KeyDigest::Of(run[0].pkt->nc.key);
     }
   }
 
-  // Stage 2 (match + status): peek every packet's entry (uncounted; each
-  // packet books its one counted lookup in stage 3) and warm the registers
-  // its stage-3 turn will touch — the per-key counter and value rows on a
-  // valid hit, the Count-Min rows on a miss.
+  // Stage 2 (match + status): peek every packet's entry and warm the
+  // registers its stage-3 turn will touch — the per-key counter and value
+  // rows on a valid hit, the Count-Min rows on a miss.
   {
     ProfScope prof(ProfCat::kSwitchMatchPeek);
     prof.set_arg(run.size());
@@ -222,7 +229,7 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
     for (BurstArrival& a : run) {
       Packet& p = *a.pkt;
       StagedGet s;
-      RestageGet(p, &s);
+      RestageGet(p, &s);  // Alg 1 line 2
       if (s.found && s.valid) {
         stats_.PrefetchCounter(s.action.key_index);
         value_size_.Prefetch(s.action.key_index);
@@ -242,8 +249,8 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
   // stage-2 classification is final); the first potentially-hot miss and
   // everything after it stays on the exact per-packet path below, including
   // its re-peek machinery. Skipped entirely when the sampler draws RNG per
-  // query (draw order must be preserved) or at the scalar level.
-  if (use_simd && stats_.CanBatchUncached()) {
+  // query (draw order must be preserved) or on a run of one.
+  if (batch && stats_.CanBatchUncached()) {
     BatchColdMissRun(run);
   }
 
@@ -260,28 +267,14 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
   // packet before the first one that could fire a hot report (a miss whose
   // statistics were NOT pre-committed by stage 2.5; no handler can mutate
   // the lookup table before the prefix's stage-3 turns, so its stage-2
-  // classification is final) — and assemble its hits' values with one SIMD
-  // pass over the run's register slots. The scalar level keeps the
-  // per-packet ReadValueInto in stage 3 — that loop IS the semantics, and
-  // determinism_test holds the two end to end.
-  size_t serve_end;
-  if (use_simd) {
-    serve_end = BatchValueServeRun(run);
-  } else {
-    serve_end = run.size();
-    for (size_t idx = 0; idx < run.size(); ++idx) {
-      const StagedGet& s = staged_[idx];
-      if (!(s.found && s.valid) && !s.stats_done) {
-        serve_end = idx;
-        break;
-      }
-    }
-  }
+  // classification is final) — and assemble its hits' values with one
+  // simd::GatherValueSlots pass over the run's register slots.
+  const size_t serve_end = BatchValueServeRun(run);
   // Report-safe prefix first: the table cannot change under these packets,
-  // so the loop drops the re-peek branch; batched-served hits skip the value
-  // movement too and only book their in-order side effects. Pure-sum
-  // counters (packets/queries/reads, lookup totals, hits) are booked in bulk
-  // after the loop — per-packet ordering of a plain add is not observable.
+  // so the loop drops the re-peek branch, and stage 2.75 already served its
+  // hits, which only book their in-order side effects here. Pure-sum
+  // counters (packets/queries/reads, hits) are booked in bulk after the
+  // loop — per-packet ordering of a plain add is not observable.
   const bool tracing = TraceEnabled();
   uint64_t prefix_hits = 0;
   size_t idx = 0;
@@ -295,13 +288,8 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
         TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0,
                   config_.switch_ip);
       }
-      stats_.OnCachedRead(s.action.key_index);
+      stats_.OnCachedRead(s.action.key_index);  // Alg 1 line 5
       ++pipe_value_reads_[s.action.pipe];
-      if (!s.served) {
-        size_t size = value_size_.Read(s.action.key_index);
-        pipes_[s.action.pipe].values.ReadValueInto(s.action.bitmap, s.action.value_index, size,
-                                                   &p.nc.value);
-      }
       p.nc.has_value = true;
       p.nc.op = OpCode::kGetReply;
       p.SwapSrcDst();
@@ -323,7 +311,6 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
   counters_.netcache_queries += serve_end;
   counters_.reads += serve_end;
   counters_.cache_hits += prefix_hits;
-  lookup_.CountMatchRun(serve_end, prefix_hits);
   bool table_may_have_changed = false;
   for (; idx < run.size(); ++idx) {
     BurstArrival& a = run[idx];
@@ -339,14 +326,13 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
       // sees the same table state it would have sequentially.
       RestageGetCold(p, &s);
     }
-    lookup_.CountMatch(s.found);
     if (s.found && s.valid) {
       ++counters_.cache_hits;
       if (TraceEnabled()) {
         TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0,
                   config_.switch_ip);
       }
-      stats_.OnCachedRead(s.action.key_index);
+      stats_.OnCachedRead(s.action.key_index);  // Alg 1 line 5
       ++pipe_value_reads_[s.action.pipe];
       size_t size = value_size_.Read(s.action.key_index);
       pipes_[s.action.pipe].values.ReadValueInto(s.action.bitmap, s.action.value_index, size,
@@ -366,7 +352,7 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
       }
       // stats_done: this miss's statistics pass was committed by the batched
       // cold prefix in stage 2.5 (provably no report).
-      if (!s.stats_done && stats_.OnUncachedRead(p.nc.key, p.digest)) {
+      if (!s.stats_done && stats_.OnUncachedRead(p.nc.key, p.digest)) {  // Alg 1 lines 7-9
         ++counters_.hot_reports;
         if (hot_report_) {
           hot_report_(p.nc.key, stats_.SketchEstimate(p.nc.key));
@@ -433,12 +419,13 @@ __attribute__((noinline)) void NetCacheSwitch::BatchColdMissRun(std::span<BurstA
 }
 
 // Burst stage 2.75: one pass finds the report-safe prefix end and stages
-// every prefix hit's units. The staging books exactly the counted stage
-// reads ReadValueInto would (StageGather calls RegisterArray::Read per
-// participating unit), then a single simd::GatherValueSlots streams all
-// units 16 bytes a lane. Whole-unit copies may write past value.size()
-// inside the 128-byte buffer — that tail is unobservable (Value::operator==
-// and SerializePacket stop at size).
+// every prefix hit's units (stage 3 serves only the hits after it). The
+// staging books exactly the counted stage reads ReadValueInto would
+// (StageGather calls RegisterArray::Read per participating unit), then a
+// single simd::GatherValueSlots streams all units 16 bytes a lane.
+// Whole-unit copies may write past value.size() inside the 128-byte buffer —
+// that tail is unobservable (Value::operator== and SerializePacket stop at
+// size).
 __attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<BurstArrival> run) {
   size_t max_units = run.size() * (kMaxValueSize / kValueUnitSize);
   if (batch_serve_srcs_.size() < max_units) {
@@ -463,7 +450,6 @@ __attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<Bu
     units = pipes_[s.action.pipe].values.StageGather(s.action.bitmap, s.action.value_index, size,
                                                      p.nc.value.data(), srcs, dsts, units);
     p.nc.value.set_size(size);
-    s.served = true;
   }
   if (units != 0) {
     simd::GatherValueSlots(srcs, dsts, units);
@@ -517,13 +503,12 @@ void NetCacheSwitch::ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink) {
   sink.OnEmit(out_port, &p, /*from_burst=*/true);
 }
 
-void NetCacheSwitch::ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out, size_t first) {
+void NetCacheSwitch::ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out) {
   if (in_port >= snake_.size() || !snake_[in_port].has_value()) {
     return;
   }
   const SnakeHop& hop = *snake_[in_port];
-  for (size_t i = first; i < out.size(); ++i) {
-    Emit& emit = out[i];
+  for (Emit& emit : out) {
     emit.port = hop.out_port;
     if (hop.strip_value && emit.pkt.nc.op == OpCode::kGetReply) {
       // Rewind a served reply into a fresh query for the next snake pass.
@@ -542,60 +527,10 @@ void NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool s
   snake_[in_port] = SnakeHop{out_port, strip_value};
 }
 
-void NetCacheSwitch::ProcessRead(Packet& pkt, std::vector<Emit>& out) {
-  ++counters_.reads;
-  // Alg 1 line 2; ProcessPacket guaranteed the digest, so the match probe
-  // reuses its first hash instead of re-hashing the key.
-  const CacheAction* action =
-      lookup_.MatchWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));
-  if (action != nullptr && status_.Read(action->key_index) != 0) {
-    // Cache hit on a valid entry: serve from the egress pipe's value stages.
-    ++counters_.cache_hits;
-    if (TraceEnabled()) {
-      TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(pkt), sim_ != nullptr ? sim_->Now() : 0,
-                config_.switch_ip);
-    }
-    stats_.OnCachedRead(action->key_index);  // Alg 1 line 5
-    ++pipe_value_reads_[action->pipe];
-
-    size_t size = value_size_.Read(action->key_index);
-    // Alg 1 lines 3-4: assemble the value straight into the packet's value
-    // field (no temporary Value copy on the bounce path).
-    pipes_[action->pipe].values.ReadValueInto(action->bitmap, action->value_index, size,
-                                              &pkt.nc.value);
-    pkt.nc.has_value = true;
-    pkt.nc.op = OpCode::kGetReply;
-    // Bounce straight back to the client: swap L2-L4 addresses, route by the
-    // (now-destination) client address, mirror out the upstream port (§4.4.4).
-    pkt.SwapSrcDst();
-    ForwardByDst(std::move(pkt), out);
-    return;
-  }
-
-  // Miss (or cached-but-invalid, which Alg 1 treats the same): count toward
-  // heavy-hitter detection and forward to the storage server.
-  if (action != nullptr) {
-    ++counters_.cache_invalid;
-  } else {
-    ++counters_.cache_misses;
-  }
-  if (TraceEnabled()) {
-    TraceSpan(action != nullptr ? TraceEvent::kSwitchInvalid : TraceEvent::kSwitchMiss,
-              TraceQueryId(pkt), sim_ != nullptr ? sim_->Now() : 0, config_.switch_ip);
-  }
-  if (stats_.OnUncachedRead(pkt.nc.key, pkt.digest)) {  // Alg 1 lines 7-9
-    ++counters_.hot_reports;
-    if (hot_report_) {
-      hot_report_(pkt.nc.key, stats_.SketchEstimate(pkt.nc.key));
-    }
-  }
-  ForwardByDst(std::move(pkt), out);
-}
-
 void NetCacheSwitch::ProcessWrite(Packet& pkt, std::vector<Emit>& out) {
   ++counters_.writes;
   const CacheAction* action =
-      lookup_.MatchWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));  // Alg 1 line 11
+      lookup_.PeekWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));  // Alg 1 line 11
   if (action != nullptr && config_.write_back && pkt.nc.op == OpCode::kPut &&
       pkt.nc.value.NumUnits() <= static_cast<size_t>(std::popcount(action->bitmap))) {
     // Experimental §5 write-back: absorb the write in the switch. The entry
@@ -630,7 +565,7 @@ void NetCacheSwitch::ProcessWrite(Packet& pkt, std::vector<Emit>& out) {
 
 void NetCacheSwitch::ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out) {
   const CacheAction* action =
-      lookup_.MatchWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));
+      lookup_.PeekWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));
   // Header-only reply shell: the ack never carries the value, so don't copy it.
   Packet reply = MakeReplyShell(pkt);
 

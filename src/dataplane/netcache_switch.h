@@ -5,6 +5,11 @@
 //   parse -> [NetCache?] -> ingress cache lookup -> routing ->
 //   egress: cache status -> query statistics -> value stages -> mirror/emit
 //
+// Every delivery reaches the data plane as a burst (HandleBurst, one packet
+// or many), and ProcessGetRun is the one code path that serves a Get: runs
+// of Gets execute stage-at-a-time, any other packet is an in-order barrier.
+// ProcessPacket is an adapter that runs a one-packet burst.
+//
 // Control plane (the "switch driver" API used by the controller and tests):
 //   route management, cache entry insert/evict, counter reads, statistics
 //   reset, sample-rate / hot-threshold tuning, defragmentation.
@@ -120,8 +125,8 @@ struct ResourceReport {
 class NetCacheSwitch : public Node {
  public:
   // `sim` may be null when the switch is driven directly through
-  // ProcessPacket (unit tests, microbenchmarks); it is required for
-  // HandlePacket/Send in a simulation.
+  // ProcessPacket/ProcessBurst (unit tests, microbenchmarks); it is required
+  // for HandlePacket/HandleBurst/Send in a simulation.
   NetCacheSwitch(Simulator* sim, std::string name, const SwitchConfig& config);
 
   // ---- data plane ----
@@ -133,11 +138,12 @@ class NetCacheSwitch : public Node {
     uint32_t port = 0;
     Packet pkt;
   };
-  // Runs the full pipeline on one packet and returns the packets to emit
-  // (usually one; zero for consumed control packets or unroutable drops).
+  // Runs the full pipeline on one packet (a one-packet ProcessBurst over a
+  // copy) and returns the packets to emit (usually one; zero for consumed
+  // control packets or unroutable drops).
   std::vector<Emit> ProcessPacket(const Packet& pkt, uint32_t in_port);
-  // Allocation-free variant: appends emits to `out` (which the caller may
-  // reuse across packets) instead of returning a fresh vector.
+  // Appends emits to `out` (which the caller may reuse across packets)
+  // instead of returning a fresh vector.
   void ProcessPacket(const Packet& pkt, uint32_t in_port, std::vector<Emit>& out);
 
   // Receives the pipeline's output packets during burst processing.
@@ -154,10 +160,10 @@ class NetCacheSwitch : public Node {
   // VPP-style stage-at-a-time processing of a delivery burst: runs of Get
   // queries execute as match-all -> stats-all -> value-store-all with
   // software prefetch between stages; any other packet is a barrier that
-  // runs through the ordinary single-packet pipeline at its in-order turn.
-  // All observable side effects (counters, RNG draws, traces, hot reports,
-  // emits) are issued at each packet's sequential position, so output is
-  // identical to calling ProcessPacket per packet in arrival order.
+  // runs through the per-packet write/update/forward pipeline at its
+  // in-order turn. All observable side effects (counters, RNG draws, traces,
+  // hot reports, emits) are issued at each packet's sequential position, so
+  // one N-packet burst is identical to N one-packet bursts in arrival order.
   void ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& sink);
 
   // ---- control plane (switch driver) ----
@@ -273,14 +279,11 @@ class NetCacheSwitch : public Node {
   // validity, peeked ahead of the in-order stage-3 pass. stats_done marks a
   // miss whose query-statistics pass was committed by the batched cold-prefix
   // path (stage 2.5), so stage 3 must not feed it to the sketch again.
-  // served marks a valid hit whose value was already assembled by the batched
-  // serve pass (stage 2.75), so stage 3 only books its counters and emits.
   struct StagedGet {
     CacheAction action;
     bool found = false;
     bool valid = false;
     bool stats_done = false;
-    bool served = false;
   };
 
   // Parser predicate (§4.1): only packets on the reserved L4 port run the
@@ -294,10 +297,11 @@ class NetCacheSwitch : public Node {
     return IsNetCacheQuery(p) && p.nc.op == OpCode::kGet;
   }
 
-  // Once-per-run SIMD batch stages (burst stage 1's digest gather and stage
-  // 2.5's cold-miss statistics prefix), outlined and pinned noinline so the
-  // per-packet loops in ProcessGetRun stay small enough for the front end —
-  // inlining them once doubled the function and cost the scalar path ~10%.
+  // Once-per-run batch stages (burst stage 1's digest gather and stage
+  // 2.5's cold-miss statistics prefix), run only on runs of two or more and
+  // outlined noinline so the per-packet loops in ProcessGetRun stay small
+  // enough for the front end — inlining them once doubled the function and
+  // cost the per-packet loops ~10%.
   void BatchDigestRun(std::span<BurstArrival> run);
   void BatchColdMissRun(std::span<BurstArrival> run);
   // Stage 2.75: scans for the report-safe prefix end — the first staged miss
@@ -305,7 +309,7 @@ class NetCacheSwitch : public Node {
   // packet that could fire a hot-report handler and mutate the table — and
   // assembles the value of every valid hit before it straight into its
   // packet via one simd::GatherValueSlots pass over the whole run's register
-  // slots, marking those entries served. Returns the prefix end.
+  // slots. Returns the prefix end.
   size_t BatchValueServeRun(std::span<BurstArrival> run);
 
   // Noinline twin of RestageGet for the stage-3 re-peek, which only runs
@@ -328,7 +332,7 @@ class NetCacheSwitch : public Node {
   }
 
   // Schedules one pooled output packet through the per-pipe rate bound and
-  // the pipeline-latency delay (the emit half of HandlePacket). Takes
+  // the pipeline-latency delay (the emit half of HandleBurst). Takes
   // ownership of `out_pkt` (releases it on an overload drop).
   void ScheduleEmit(uint32_t port, Packet* out_pkt);
 
@@ -339,11 +343,12 @@ class NetCacheSwitch : public Node {
   // drop (the dispatcher releases the packet still in the slot).
   void ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink);
 
-  // Applies the snake hop to emits appended at or after `first` (the caller
-  // passes out.size() from before its pipeline pass when appending to a
-  // shared scratch vector).
-  void ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out, size_t first);
-  void ProcessRead(Packet& pkt, std::vector<Emit>& out);
+  // Barrier path: every packet that is not a NetCache Get (writes, cache
+  // updates, replies, plain L3) runs through here at its in-order turn and
+  // appends its emits — snake hop applied — to the empty `out`.
+  void ProcessBarrier(const Packet& pkt, uint32_t in_port, std::vector<Emit>& out);
+  // Applies the snake hop on `in_port` to every emit in `out`.
+  void ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out);
   void ProcessWrite(Packet& pkt, std::vector<Emit>& out);
   void ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out);
   // Routes `pkt` by ip.dst and moves it into `out` — callers hand over their
@@ -391,8 +396,8 @@ class NetCacheSwitch : public Node {
   NC_LP_OWNED std::vector<uint64_t> pipe_value_reads_;
   // Per-pipe transmitter state for the optional rate bound.
   NC_LP_OWNED std::vector<SimTime> pipe_busy_until_;
-  // Scratch buffers for HandlePacket / burst processing; members so the
-  // steady state allocates nothing per packet or burst.
+  // Scratch buffers for burst processing (barrier emits, staged Gets);
+  // members so the steady state allocates nothing per packet or burst.
   NC_LP_OWNED std::vector<Emit> scratch_emits_;
   NC_LP_OWNED std::vector<StagedGet> staged_;
   // SIMD burst scratch (stage-1 digest batching and the stage-2.5 cold-miss

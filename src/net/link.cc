@@ -112,27 +112,14 @@ void Link::FlushGroup(EgressBurst* g, int from_end) {
     sim_->ReleaseEgressBurst(g);
     return;
   }
-  if (sim_->egress_burst_records()) {
-    // The group rides as one record; the dispatcher weighs it as
-    // entries.size() events and the receiver releases the buffer.
-    uint32_t total = 0;
-    for (const auto& [pkt, bytes] : g->entries) {
-      total += bytes;
-    }
-    sim_->ScheduleDeliveryAt(
-        deliver_at,
-        Simulator::DeliveryRec{to.node, to.port, nullptr, this, from_end, total, g});
-    return;
-  }
-  // Equivalence leg (--no-egress-batch): per-packet records at the group's
-  // shared instant. Scheduled back-to-back from one stream, their keys are
-  // consecutive, so the dispatcher coalesces them into exactly the burst the
-  // single record would have produced.
+  // The group rides as one record; the dispatcher weighs it as
+  // entries.size() events and the receiver releases the buffer.
+  uint32_t total = 0;
   for (const auto& [pkt, bytes] : g->entries) {
-    sim_->ScheduleDeliveryAt(deliver_at,
-                             Simulator::DeliveryRec{to.node, to.port, pkt, this, from_end, bytes});
+    total += bytes;
   }
-  sim_->ReleaseEgressBurst(g);
+  sim_->ScheduleDeliveryAt(
+      deliver_at, Simulator::DeliveryRec{to.node, to.port, nullptr, this, from_end, total, g});
 }
 
 }  // namespace netcache

@@ -53,8 +53,7 @@ class Link {
   // Books `count` completed deliveries totalling `bytes` on direction
   // `from_end`. Called by the simulator's delivery dispatcher (the accounting
   // the delivery closure used to do inline before deliveries became typed
-  // events); a burst record books its whole transmit group in one call —
-  // same totals at the same instant as its per-packet twin records. Runs in
+  // events); a burst record books its whole transmit group in one call. Runs in
   // the RECEIVING node's partition under parallel DES, which is why
   // `in_flight` is the one atomic field (see DirectionStats).
   void AccountDelivery(int from_end, uint32_t bytes, uint32_t count = 1) {
@@ -113,11 +112,10 @@ class Link {
     DirectionStats stats;
   };
 
-  // Ships a closed transmit group: one burst delivery record when the
-  // simulator allows them, else adjacent per-packet records — both at the
-  // group's shared delivery instant (last member's serialization end +
-  // propagation). Runs in the sending end's partition (from the first
-  // member's queue-free closure).
+  // Ships a closed transmit group as one delivery record (a plain record for
+  // a lone packet, a burst record otherwise) at the group's shared delivery
+  // instant: last member's serialization end + propagation. Runs in the
+  // sending end's partition (from the first member's queue-free closure).
   void FlushGroup(EgressBurst* g, int from_end);
 
   NC_LP_SHARED Simulator* sim_;

@@ -17,7 +17,7 @@ namespace netcache {
 
 class Link;
 
-// One packet of a coalesced delivery burst. `pkt` points into the simulator's
+// One packet of a delivery burst. `pkt` points into the simulator's
 // packet pool; a HandleBurst override may steal a packet (rewrite it in place
 // and re-schedule it) by nulling the pointer — the dispatcher releases every
 // pointer still non-null after the call.
@@ -34,12 +34,14 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Invoked by the link when a packet arrives on `in_port`.
+  // Handles one packet arriving on `in_port` (the default HandleBurst calls
+  // it per arrival).
   virtual void HandlePacket(const Packet& pkt, uint32_t in_port) = 0;
 
-  // Invoked by the simulator when several deliveries to this node land at the
-  // same timestamp (VPP-style burst). Arrivals are in event tie-break order;
-  // the default keeps single-packet semantics exactly.
+  // Invoked by the simulator for every delivery to this node: one packet, or
+  // several that land at the same timestamp (VPP-style burst). Arrivals are
+  // in event tie-break order; the default keeps single-packet semantics
+  // exactly.
   virtual void HandleBurst(BurstArrival* arrivals, size_t count) {
     for (size_t i = 0; i < count; ++i) {
       HandlePacket(*arrivals[i].pkt, arrivals[i].port);

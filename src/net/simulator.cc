@@ -13,10 +13,9 @@ namespace netcache {
 namespace {
 
 // A delivery record's event weight: a burst record stands for its whole
-// transmit group, so it counts as entries.size() events everywhere the
-// per-packet record format would have counted N (events_processed, pending
-// counts, queue peaks, link delivery accounting). Keeping the weights equal
-// is what makes the egress-batch legs byte-identical in exported metrics.
+// transmit group, so it counts as entries.size() events everywhere a packet
+// counts as one (events_processed, pending counts, queue peaks, link
+// delivery accounting).
 inline uint64_t RecWeight(const Simulator::DeliveryRec& r) {
   return r.burst != nullptr ? r.burst->entries.size() : 1;
 }
@@ -71,14 +70,10 @@ void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
                          << " ns but Now() is t=" << c->now << " ns";
   Ctx* dest = c;
   if (partitioned_) {
-    if (classifier_ && classifier_(rec)) {
-      dest = &ctxs_[0];
-    } else {
-      NC_CHECK(rec.node->lp() < ctxs_.size())
-          << rec.node->name() << " labeled with partition " << rec.node->lp()
-          << " but only " << num_lps() << " logical processes are configured";
-      dest = &ctxs_[rec.node->lp()];
-    }
+    NC_CHECK(rec.node->lp() < ctxs_.size())
+        << rec.node->name() << " labeled with partition " << rec.node->lp()
+        << " but only " << num_lps() << " logical processes are configured";
+    dest = &ctxs_[rec.node->lp()];
   }
   Route(*c, *dest, Event{at, NextKey(*c), rec});
 }
@@ -219,7 +214,7 @@ void Simulator::RunUntil(SimTime until) {
     Event ev = PopHeap(c);
     c.now = ev.time;
     ++c.events;
-    DispatchIn(c, ev, coalesce_);
+    DispatchIn(c, ev, /*coalesce=*/true);
   }
   if (c.now < until) {
     c.now = until;
@@ -239,7 +234,7 @@ void Simulator::RunAll() {
     Event ev = PopHeap(c);
     c.now = ev.time;
     ++c.events;
-    DispatchIn(c, ev, coalesce_);
+    DispatchIn(c, ev, /*coalesce=*/true);
   }
 }
 
@@ -547,7 +542,7 @@ void Simulator::RunLpWindow(Ctx& lp) {
       Event ev = PopHeap(lp);
       lp.now = ev.time;
       ++lp.events;
-      DispatchIn(lp, ev, coalesce_);
+      DispatchIn(lp, ev, /*coalesce=*/true);
     } while (!lp.heap.empty() && lp.heap.front().time < wend);
     prof.set_arg(lp.events - before);
   }
@@ -726,24 +721,13 @@ void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
       c.arrivals.push_back(BurstArrival{r.pkt, r.port});
     }
   }
-  if (c.arrivals.size() == 1) {
-    const BurstArrival& a = c.arrivals[0];
-    first.node->HandlePacket(*a.pkt, a.port);
-    c.pool.Release(a.pkt);
-    return;
+  // Every delivery is a burst, a lone packet included. The burst counters
+  // book only multi-packet deliveries of the coalescing dispatchers (serial
+  // instants do not coalesce).
+  if (coalesce && c.arrivals.size() > 1) {
+    ++c.bursts;
+    c.burst_pkts += c.arrivals.size();
   }
-  if (!coalesce) {
-    // Reference schedule (--no-burst): dispatch per packet, in order. A
-    // burst record reaching here still unrolls one HandlePacket per entry —
-    // exactly the schedule its per-packet twin records would have produced.
-    for (const BurstArrival& a : c.arrivals) {
-      first.node->HandlePacket(*a.pkt, a.port);
-      c.pool.Release(a.pkt);
-    }
-    return;
-  }
-  ++c.bursts;
-  c.burst_pkts += c.arrivals.size();
   first.node->HandleBurst(c.arrivals.data(), c.arrivals.size());
   // A handler may steal a packet (rewrite and re-schedule it) by nulling the
   // pointer; everything still here goes back to the pool.

@@ -16,8 +16,8 @@
 //     closures reference (see net/packet_pool.h);
 //   - packet deliveries are typed events (DeliveryRec in a union with the
 //     closure), which lets the dispatcher coalesce same-instant deliveries
-//     to one node into a burst (VPP-style vector processing) handed to
-//     Node::HandleBurst.
+//     to one node into a burst (VPP-style vector processing). Every delivery
+//     — one packet or many — is handed to Node::HandleBurst.
 //
 // Burst formation and determinism: a burst is formed ONLY from delivery
 // events that are adjacent in the executing partition's (time, key) order —
@@ -103,7 +103,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <new>
 #include <thread>
 #include <utility>
@@ -123,11 +122,8 @@ class Link;
 // direction within one simulated instant. The transmitter serializes the
 // group back-to-back and the far NIC raises one interrupt for the lot —
 // the whole group is delivered at the LAST member's serialization end plus
-// propagation (interrupt-coalescing analogue; see Link::Transmit). With
-// egress batching on, a multi-packet group travels as ONE delivery record
-// carrying these entries; off, it becomes adjacent per-packet records at the
-// same instant — the timing model is shared, so the two modes are
-// byte-identical end to end (determinism_test holds them together).
+// propagation (interrupt-coalescing analogue; see Link::Transmit). A
+// multi-packet group travels as ONE delivery record carrying these entries.
 // Buffers are pooled per simulator context and migrate between contexts the
 // way PacketPool payloads do.
 struct EgressBurst {
@@ -155,21 +151,12 @@ class Simulator {
     Link* link = nullptr;
     int from_end = 0;
     uint32_t bytes = 0;  // wire bytes; for a burst record, the group total
-    // Non-null: this record carries a whole multi-packet transmit group
-    // (egress batching); `pkt` is null and the payloads ride in
-    // burst->entries. The dispatcher weighs the record as entries.size()
-    // events so events_processed and queue-peak metrics stay identical to
-    // the per-packet record format.
+    // Non-null: this record carries a whole multi-packet transmit group;
+    // `pkt` is null and the payloads ride in burst->entries. The dispatcher
+    // weighs the record as entries.size() events, so events_processed and
+    // queue-peak metrics count packets, not records.
     EgressBurst* burst = nullptr;
   };
-
-  // Topology-installed predicate deciding which deliveries must run in the
-  // global stream even though the destination node is partitioned — packets
-  // whose handler reaches across partitions. Checked only in parallel mode.
-  // Prefer deferring the cross-partition work onto the global stream with a
-  // control-plane latency instead (see CacheController::RegisterServer):
-  // classifying a delivery serializes an instant per packet.
-  using DeliveryClassifier = std::function<bool(const DeliveryRec&)>;
 
   // `reserve_events` pre-sizes the event heap; steady-state runs should never
   // grow it. The default comfortably covers a busy single-rack simulation.
@@ -218,11 +205,8 @@ class Simulator {
   void ScheduleGlobalAt(SimTime at, EventFn fn);
 
   // Schedules a packet delivery at absolute time `at` (Link::Transmit's
-  // delivery leg). Runs in the destination node's partition unless the
-  // delivery classifier claims it for the global stream.
+  // delivery leg). Runs in the destination node's partition.
   void ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec);
-
-  void SetDeliveryClassifier(DeliveryClassifier fn) { classifier_ = std::move(fn); }
 
   // Called by Link's constructor so ConfigurePartitions can compute the
   // lookahead from the topology.
@@ -254,27 +238,6 @@ class Simulator {
   size_t num_lps() const { return ctxs_.size() - 1; }
   size_t sim_threads() const { return threads_; }
   SimDuration lookahead() const { return lookahead_; }
-
-  // Toggles burst coalescing of same-instant deliveries (on by default).
-  // Off, every delivery dispatches through HandlePacket one event at a time —
-  // the reference schedule the determinism test compares bursts against.
-  void set_burst_coalescing(bool on) { coalesce_ = on; }
-  bool burst_coalescing() const { return coalesce_; }
-
-  // Toggles egress burst records (on by default): whether Link::FlushGroup
-  // ships a multi-packet transmit group as one burst delivery record or as
-  // adjacent per-packet records. Either way the group's delivery time and
-  // every observable counter are identical — the flag only changes the
-  // record format (--no-egress-batch is the equivalence leg).
-  void set_egress_batching(bool on) { egress_batch_ = on; }
-  bool egress_batching() const { return egress_batch_; }
-  // Whether FlushGroup may emit burst records right now. A delivery
-  // classifier decides per PACKET, so burst records are suppressed while one
-  // is installed in parallel mode (it would otherwise judge a whole group by
-  // its first packet).
-  bool egress_burst_records() const {
-    return egress_batch_ && !(partitioned_ && classifier_);
-  }
 
   // Transmit-group buffer pool, sharded like packet_pool(): acquire in the
   // sending LP, release wherever the group is consumed (buffers migrate).
@@ -310,16 +273,16 @@ class Simulator {
   // in a coalesced burst still counts as one event here.
   uint64_t events_processed() const;
 
-  // Burst diagnostics. Deliberately NOT wired into any metrics registry:
-  // coalescing must be invisible in exported JSON (the burst-vs-single
-  // determinism leg diffs those files byte-for-byte).
+  // Burst diagnostics: deliveries of two or more packets dispatched outside
+  // serial instants, and the packets they carried. Deliberately NOT wired
+  // into any metrics registry: coalescing must stay invisible in exported
+  // JSON.
   uint64_t bursts_dispatched() const;
   uint64_t burst_packets() const;
 
   // Event-queue pressure, exported as sim.* metrics by Rack. The peak is
   // sampled when the dispatcher advances to a new timestamp — NOT per push —
-  // so it is identical with and without burst coalescing and across
-  // --sim-threads values (the determinism legs diff metrics JSON
+  // so it is identical across --sim-threads values (the determinism legs diff metrics JSON
   // byte-for-byte). A window stall is a round an LP participated in (forced
   // by pending mail) but found no event below its horizon; a merged window
   // is a round whose per-LP horizon exceeded the legacy global
@@ -439,10 +402,9 @@ class Simulator {
     NC_LP_OWNED std::vector<BurstArrival> arrivals;
     NC_LP_OWNED PacketPool pool;
     // Extra event weight carried by burst records currently in `heap`
-    // (entries.size() - 1 each): heap.size() + heap_extra is the pending
-    // count the per-packet record format would have, which keeps
-    // event_queue_peak and PendingEvents identical across the egress-batch
-    // legs. Maintained by PushHeap/PopHeap.
+    // (entries.size() - 1 each): heap.size() + heap_extra counts pending
+    // packets, not records, for event_queue_peak and PendingEvents.
+    // Maintained by PushHeap/PopHeap.
     NC_LP_OWNED uint64_t heap_extra = 0;
     // Transmit-group buffer pool shard (see AcquireEgressBurst). The arena
     // owns storage — pointer-stable, freed wholesale at destruction, so a
@@ -508,8 +470,6 @@ class Simulator {
     }
   }
 
-  NC_LP_SHARED bool coalesce_ = true;   // set before running, read-only after
-  NC_LP_SHARED bool egress_batch_ = true;  // set before running, read-only after
   NC_LP_SHARED bool partitioned_ = false;
   // True only between a round's kick and its barrier; cross-partition
   // schedules are staged into outbox buckets instead of pushed while set.
@@ -526,7 +486,6 @@ class Simulator {
   NC_LP_SHARED std::deque<Ctx> ctxs_;  // deque: Ctx owns a PacketPool and must never move
   NC_LP_SHARED Ctx* legacy_ = nullptr;  // &ctxs_[0]
   NC_LP_SHARED std::vector<Link*> links_;  // wiring-time registry
-  NC_LP_SHARED DeliveryClassifier classifier_;  // installed before running
 
   // Per-link-clock state, coordinator-only between rounds: all-pairs
   // shortest-path propagation distances (wiring-time, immutable after

@@ -58,10 +58,9 @@ size_t StorageServer::BusyCores() const {
 }
 
 void StorageServer::HandleBurst(BurstArrival* arrivals, size_t count) {
-  burst_packets_received_ += count;
   // online_ flips only in the global serial stream, so it is constant across
-  // a window; a crashed server drops the whole burst in one branch. Tiny
-  // windows take the per-packet path — no batch work to amortize.
+  // a window; a crashed server drops the whole burst in one branch. A lone
+  // delivery takes the per-packet path — no batch work to amortize.
   if (!online_ || count < 2) {
     for (size_t i = 0; i < count; ++i) {
       HandlePacket(*arrivals[i].pkt, arrivals[i].port);
@@ -245,7 +244,7 @@ void StorageServer::Process(Packet& pkt) {
   }
   switch (pkt.nc.op) {
     case OpCode::kGet:
-      ProcessRead(pkt);
+      ProcessGet(pkt);
       break;
     case OpCode::kPut:
     case OpCode::kDelete:
@@ -258,7 +257,7 @@ void StorageServer::Process(Packet& pkt) {
   }
 }
 
-void StorageServer::ProcessRead(Packet& pkt) {
+void StorageServer::ProcessGet(Packet& pkt) {
   ++stats_.reads;
   bool hit;
   {

@@ -153,9 +153,6 @@ class StorageServer : public Node {
   size_t QueueDepth() const;
   size_t CoreOf(const Key& key) const;
   uint64_t core_processed(size_t core) const { return cores_[core].processed; }
-  // Packets that arrived via coalesced bursts (diagnostics; deliberately not
-  // a registered metric — burst-vs-single JSON must stay byte-identical).
-  uint64_t burst_packets_received() const { return burst_packets_received_; }
 
  private:
   struct BlockState {
@@ -186,7 +183,7 @@ class StorageServer : public Node {
   // the reply in place (see proto/packet.h, MakeReplyShell contract note).
   void Process(Packet& pkt);
 
-  void ProcessRead(Packet& pkt);
+  void ProcessGet(Packet& pkt);
   void ProcessWrite(const Packet& pkt);
   void HandleUpdateAck(const Packet& pkt);
   void HandleUpdateReject(const Packet& pkt);
@@ -215,7 +212,6 @@ class StorageServer : public Node {
 
   NC_LP_SHARED UpdateRejectHandler update_reject_;  // installed at wiring time
   NC_LP_OWNED ServerStats stats_;
-  NC_LP_OWNED uint64_t burst_packets_received_ = 0;
 
   // Burst-window scratch (HandleBurst stage 1), reserved on first use and
   // reused every window so the steady-state receive path never allocates.

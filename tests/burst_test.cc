@@ -1,11 +1,12 @@
-// Tests for VPP-style burst processing: the simulator's same-instant delivery
-// coalescing and the switch's stage-at-a-time ProcessBurst pipeline.
+// Tests for VPP-style burst processing: the simulator's delivery dispatch
+// (every delivery is a HandleBurst call; same-instant deliveries coalesce)
+// and the switch's stage-at-a-time ProcessBurst pipeline.
 //
-// The contract under test is behavioural transparency — a burst must produce
-// exactly the emits and counters that per-packet ProcessPacket calls produce
-// in arrival order. Bursts are a throughput optimisation, never a semantic
-// one; tests/determinism_test.cmake leg 3 proves the same property end-to-end
-// (byte-identical rack metrics JSON with and without --no-burst).
+// The contract under test is behavioural transparency — one N-packet burst
+// must produce exactly the emits and counters that N one-packet bursts
+// produce in arrival order. Bursts are a throughput optimisation, never a
+// semantic one; a run of one packet takes the same pipeline without its
+// batch stages.
 
 #include <memory>
 #include <vector>
@@ -56,6 +57,33 @@ class CollectSink : public NetCacheSwitch::EmitSink {
   std::vector<NetCacheSwitch::Emit> emits_;
 };
 
+// Feeds `pkts` (arriving on `ports`) to `sw` as one burst, honouring the
+// pooled-arrival ownership protocol: the sink frees stolen packets, the
+// rest stay ours.
+void RunBurst(NetCacheSwitch* sw, const std::vector<Packet>& pkts,
+              const std::vector<uint32_t>& ports, NetCacheSwitch::EmitSink& sink) {
+  std::vector<std::unique_ptr<Packet>> storage;
+  std::vector<BurstArrival> arrivals;
+  for (size_t i = 0; i < pkts.size(); ++i) {
+    storage.push_back(std::make_unique<Packet>(pkts[i]));
+    arrivals.push_back(BurstArrival{storage.back().get(), ports[i]});
+  }
+  sw->ProcessBurst({arrivals.data(), arrivals.size()}, sink);
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    if (arrivals[i].pkt == nullptr) {
+      storage[i].release();  // stolen: the sink already freed it
+    }
+  }
+}
+
+// The reference schedule: the same packets as N one-packet bursts.
+void RunOneByOne(NetCacheSwitch* sw, const std::vector<Packet>& pkts,
+                 const std::vector<uint32_t>& ports, NetCacheSwitch::EmitSink& sink) {
+  for (size_t i = 0; i < pkts.size(); ++i) {
+    RunBurst(sw, {pkts[i]}, {ports[i]}, sink);
+  }
+}
+
 void ExpectSameEmits(const std::vector<NetCacheSwitch::Emit>& burst,
                      const std::vector<NetCacheSwitch::Emit>& single) {
   ASSERT_EQ(burst.size(), single.size());
@@ -90,9 +118,24 @@ void ExpectSameCounters(const SwitchCounters& a, const SwitchCounters& b) {
   EXPECT_EQ(a.ttl_drops, b.ttl_drops);
 }
 
+// Emits, counters and per-key cache counters (the hot-key statistics the
+// controller reads) of two switches must agree.
+void ExpectSameSwitch(const NetCacheSwitch& a, const CollectSink& a_sink, const NetCacheSwitch& b,
+                      const CollectSink& b_sink) {
+  ExpectSameEmits(a_sink.emits(), b_sink.emits());
+  ExpectSameCounters(a.counters(), b.counters());
+  auto a_counts = a.ReadCacheCounters();
+  auto b_counts = b.ReadCacheCounters();
+  ASSERT_EQ(a_counts.size(), b_counts.size());
+  for (size_t i = 0; i < a_counts.size(); ++i) {
+    EXPECT_EQ(a_counts[i].first, b_counts[i].first);
+    EXPECT_EQ(a_counts[i].second, b_counts[i].second);
+  }
+}
+
 // Two identically configured switches: one processes `pkts` as a single
-// burst, the other one packet at a time; both must agree on everything
-// observable. `prepare` applies identical control-plane setup to each.
+// burst, the other as one-packet bursts; both must agree on everything
+// observable.
 class BurstEquivalenceTest : public ::testing::Test {
  protected:
   BurstEquivalenceTest()
@@ -105,50 +148,18 @@ class BurstEquivalenceTest : public ::testing::Test {
     }
   }
 
-  void RunBoth(const std::vector<Packet>& pkts, uint32_t in_port = 4) {
-    // Burst side: heap copies the sink or the test frees, mirroring the
-    // pooled-arrival ownership protocol of the real dispatcher.
-    std::vector<std::unique_ptr<Packet>> storage;
-    std::vector<BurstArrival> arrivals;
-    for (const Packet& p : pkts) {
-      storage.push_back(std::make_unique<Packet>(p));
-      arrivals.push_back(BurstArrival{storage.back().get(), in_port});
-    }
-    burst_sw_.ProcessBurst({arrivals.data(), arrivals.size()}, sink_);
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-      if (arrivals[i].pkt != nullptr) {
-        storage[i].reset();  // not stolen: still ours
-      } else {
-        storage[i].release();  // stolen: the sink already freed it
-      }
-    }
-
-    // Reference side: one at a time, in order.
-    for (const Packet& p : pkts) {
-      auto emits = single_sw_.ProcessPacket(p, in_port);
-      for (auto& e : emits) {
-        single_emits_.push_back(std::move(e));
-      }
-    }
+  void RunBoth(const std::vector<Packet>& pkts, std::vector<uint32_t> ports = {}) {
+    ports.resize(pkts.size(), 4);
+    RunBurst(&burst_sw_, pkts, ports, burst_sink_);
+    RunOneByOne(&single_sw_, pkts, ports, single_sink_);
   }
 
-  void ExpectEquivalent() {
-    ExpectSameEmits(sink_.emits(), single_emits_);
-    ExpectSameCounters(burst_sw_.counters(), single_sw_.counters());
-    // Per-key cache counters (the hot-key statistics the controller reads).
-    auto burst_counts = burst_sw_.ReadCacheCounters();
-    auto single_counts = single_sw_.ReadCacheCounters();
-    ASSERT_EQ(burst_counts.size(), single_counts.size());
-    for (size_t i = 0; i < burst_counts.size(); ++i) {
-      EXPECT_EQ(burst_counts[i].first, single_counts[i].first);
-      EXPECT_EQ(burst_counts[i].second, single_counts[i].second);
-    }
-  }
+  void ExpectEquivalent() { ExpectSameSwitch(burst_sw_, burst_sink_, single_sw_, single_sink_); }
 
   NetCacheSwitch burst_sw_;
   NetCacheSwitch single_sw_;
-  CollectSink sink_;
-  std::vector<NetCacheSwitch::Emit> single_emits_;
+  CollectSink burst_sink_;
+  CollectSink single_sink_;
 };
 
 TEST_F(BurstEquivalenceTest, GetRunHitsAndMisses) {
@@ -214,50 +225,53 @@ TEST_F(BurstEquivalenceTest, MixedPortsSegmentRuns) {
     ASSERT_TRUE(sw->AddRoute(0x0b000002, 5).ok());
     ASSERT_TRUE(sw->InsertCacheEntry(K(3), Value::Filler(3, 16), kServerA).ok());
   }
-  // Alternating in_ports: each port flip ends the current Get run.
-  std::vector<std::unique_ptr<Packet>> storage;
-  std::vector<BurstArrival> arrivals;
+  // Alternating in_ports within one burst.
   std::vector<Packet> pkts;
+  std::vector<uint32_t> ports;
   for (uint32_t i = 0; i < 16; ++i) {
     IpAddress src = (i % 2 == 0) ? kClient : 0x0b000002;
-    uint32_t port = (i % 2 == 0) ? 4 : 5;
-    Packet p = MakeGet(src, kServerA, K(3 + i % 3), i);
-    pkts.push_back(p);
-    storage.push_back(std::make_unique<Packet>(p));
-    arrivals.push_back(BurstArrival{storage.back().get(), port});
+    ports.push_back((i % 2 == 0) ? 4 : 5);
+    pkts.push_back(MakeGet(src, kServerA, K(3 + i % 3), i));
   }
-  burst_sw_.ProcessBurst({arrivals.data(), arrivals.size()}, sink_);
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    if (arrivals[i].pkt == nullptr) {
-      storage[i].release();
-    }
+  RunBoth(pkts, ports);
+  ExpectEquivalent();
+}
+
+TEST_F(BurstEquivalenceTest, ProcessPacketIsAOnePacketBurst) {
+  for (NetCacheSwitch* sw : {&burst_sw_, &single_sw_}) {
+    ASSERT_TRUE(sw->InsertCacheEntry(K(1), Value::Filler(1, 64), kServerA).ok());
   }
-  for (uint32_t i = 0; i < 16; ++i) {
-    auto emits = single_sw_.ProcessPacket(pkts[i], (i % 2 == 0) ? 4 : 5);
-    for (auto& e : emits) {
-      single_emits_.push_back(std::move(e));
-    }
+  std::vector<Packet> pkts = {MakeGet(kClient, kServerA, K(1), 0),
+                              MakeGet(kClient, kServerA, K(2), 1),
+                              MakePut(kClient, kServerA, K(1), Value::Filler(9, 64), 2),
+                              MakeGet(kClient, kServerA, K(1), 3)};
+  RunOneByOne(&burst_sw_, pkts, std::vector<uint32_t>(pkts.size(), 4), burst_sink_);
+  std::vector<NetCacheSwitch::Emit> adapter_emits;
+  for (const Packet& p : pkts) {
+    single_sw_.ProcessPacket(p, 4, adapter_emits);
   }
-  ExpectSameEmits(sink_.emits(), single_emits_);
+  ExpectSameEmits(burst_sink_.emits(), adapter_emits);
   ExpectSameCounters(burst_sw_.counters(), single_sw_.counters());
 }
 
 // ------------------------------------------------- SIMD vs scalar bursts
 //
-// The vectorized burst fast path (common/simd.h: batched digests, sketch
-// probes, grouped table scans, the stats cold-prefix commit) must be
-// bit-identical to the scalar pipeline. Two identically configured switches
-// process the same bursts, one at the native dispatch level and one forced
-// scalar via ScopedScalarSimd, and must agree on every emit, counter, and
-// per-key cache count. On a host without AVX2 both legs run scalar and the
-// test degenerates to a tautology; tests/determinism_test.cmake leg 6 proves
-// the same property end to end on the rack simulation.
+// The vectorized burst kernels (common/simd.h: batched digests, sketch
+// probes, grouped table scans, value gathers) must be bit-identical to their
+// scalar twins. Three identically configured switches process the same
+// packets: one N-packet burst at the native dispatch level, the same burst
+// forced scalar via ScopedScalarSimd, and N one-packet bursts at the native
+// level. All three must agree on every emit, counter, and per-key cache
+// count. On a host without AVX2 the first two legs both run scalar;
+// tests/determinism_test.cmake leg 5 proves the same property end to end on
+// the rack simulation.
 class SimdBurstEquivalenceTest : public ::testing::Test {
  protected:
   SimdBurstEquivalenceTest()
       : native_sw_(nullptr, "tor-native", SmallSwitch()),
-        scalar_sw_(nullptr, "tor-scalar", SmallSwitch()) {
-    for (NetCacheSwitch* sw : {&native_sw_, &scalar_sw_}) {
+        scalar_sw_(nullptr, "tor-scalar", SmallSwitch()),
+        single_sw_(nullptr, "tor-single", SmallSwitch()) {
+    for (NetCacheSwitch* sw : switches()) {
       EXPECT_TRUE(sw->AddRoute(kServerA, 0).ok());
       EXPECT_TRUE(sw->AddRoute(kServerB, 1).ok());
       EXPECT_TRUE(sw->AddRoute(kClient, 4).ok());
@@ -265,54 +279,31 @@ class SimdBurstEquivalenceTest : public ::testing::Test {
     }
   }
 
-  // Feeds `pkts` as one burst to a switch, honouring the arrival-ownership
-  // protocol, and appends the emits to `out`.
-  static void RunBurst(NetCacheSwitch* sw, const std::vector<Packet>& pkts,
-                       std::vector<NetCacheSwitch::Emit>* out) {
-    std::vector<std::unique_ptr<Packet>> storage;
-    std::vector<BurstArrival> arrivals;
-    for (const Packet& p : pkts) {
-      storage.push_back(std::make_unique<Packet>(p));
-      arrivals.push_back(BurstArrival{storage.back().get(), 4});
-    }
-    CollectSink sink;
-    sw->ProcessBurst({arrivals.data(), arrivals.size()}, sink);
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-      if (arrivals[i].pkt == nullptr) {
-        storage[i].release();  // stolen: the sink already freed it
-      }
-    }
-    for (const auto& e : sink.emits()) {
-      out->push_back(e);
-    }
-  }
+  std::vector<NetCacheSwitch*> switches() { return {&native_sw_, &scalar_sw_, &single_sw_}; }
 
-  void RunBothLevels(const std::vector<Packet>& pkts) {
-    RunBurst(&native_sw_, pkts, &native_emits_);
+  void RunAllLegs(const std::vector<Packet>& pkts) {
+    std::vector<uint32_t> ports(pkts.size(), 4);
+    RunBurst(&native_sw_, pkts, ports, native_sink_);
+    RunOneByOne(&single_sw_, pkts, ports, single_sink_);
     ScopedScalarSimd force_scalar;
-    RunBurst(&scalar_sw_, pkts, &scalar_emits_);
+    RunBurst(&scalar_sw_, pkts, ports, scalar_sink_);
   }
 
   void ExpectEquivalent() {
-    ExpectSameEmits(native_emits_, scalar_emits_);
-    ExpectSameCounters(native_sw_.counters(), scalar_sw_.counters());
-    auto native_counts = native_sw_.ReadCacheCounters();
-    auto scalar_counts = scalar_sw_.ReadCacheCounters();
-    ASSERT_EQ(native_counts.size(), scalar_counts.size());
-    for (size_t i = 0; i < native_counts.size(); ++i) {
-      EXPECT_EQ(native_counts[i].first, scalar_counts[i].first);
-      EXPECT_EQ(native_counts[i].second, scalar_counts[i].second);
-    }
+    ExpectSameSwitch(native_sw_, native_sink_, scalar_sw_, scalar_sink_);
+    ExpectSameSwitch(native_sw_, native_sink_, single_sw_, single_sink_);
   }
 
   NetCacheSwitch native_sw_;
   NetCacheSwitch scalar_sw_;
-  std::vector<NetCacheSwitch::Emit> native_emits_;
-  std::vector<NetCacheSwitch::Emit> scalar_emits_;
+  NetCacheSwitch single_sw_;
+  CollectSink native_sink_;
+  CollectSink scalar_sink_;
+  CollectSink single_sink_;
 };
 
 TEST_F(SimdBurstEquivalenceTest, MixedHitMissBurstsMatchScalar) {
-  for (NetCacheSwitch* sw : {&native_sw_, &scalar_sw_}) {
+  for (NetCacheSwitch* sw : switches()) {
     ASSERT_TRUE(sw->InsertCacheEntry(K(1), Value::Filler(1, 64), kServerA).ok());
     ASSERT_TRUE(sw->InsertCacheEntry(K(2), Value::Filler(2, 32), kServerB).ok());
   }
@@ -323,7 +314,7 @@ TEST_F(SimdBurstEquivalenceTest, MixedHitMissBurstsMatchScalar) {
     for (uint32_t i = 0; i < 48; ++i) {
       pkts.push_back(MakeGet(kClient, kServerA, K(i % 7), burst * 48 + i));
     }
-    RunBothLevels(pkts);
+    RunAllLegs(pkts);
   }
   ExpectEquivalent();
   EXPECT_GT(native_sw_.counters().cache_hits, 0u);
@@ -331,7 +322,7 @@ TEST_F(SimdBurstEquivalenceTest, MixedHitMissBurstsMatchScalar) {
 }
 
 TEST_F(SimdBurstEquivalenceTest, HotReportAndBarriersMatchScalar) {
-  for (NetCacheSwitch* sw : {&native_sw_, &scalar_sw_}) {
+  for (NetCacheSwitch* sw : switches()) {
     sw->SetHotThreshold(8);
     sw->SetHotReportHandler([sw](const Key& key, uint32_t) {
       Status s = sw->InsertCacheEntry(key, Value::Filler(77, 48), kServerA);
@@ -349,39 +340,36 @@ TEST_F(SimdBurstEquivalenceTest, HotReportAndBarriersMatchScalar) {
   for (uint32_t i = 0; i < 16; ++i) {
     pkts.push_back(MakeGet(kClient, kServerA, K(9), 200 + i));
   }
-  RunBothLevels(pkts);
+  RunAllLegs(pkts);
   ExpectEquivalent();
   EXPECT_EQ(native_sw_.counters().hot_reports, 1u);
   EXPECT_EQ(native_sw_.counters().invalidations, 1u);
 }
 
-// ------------------------------------------------- simulator coalescing
+// ------------------------------------------------- simulator dispatch
 
-// Records every arrival and whether it came through HandleBurst.
+// Records every arrival and the size of each HandleBurst call. HandlePacket
+// is only reachable through the default HandleBurst, which this overrides.
 class RecordingNode : public Node {
  public:
   explicit RecordingNode(Simulator* sim) : Node("recorder"), sim_(sim) {}
 
-  void HandlePacket(const Packet& pkt, uint32_t in_port) override {
-    seqs_.push_back(pkt.nc.seq);
-    ports_.push_back(in_port);
-    ++single_calls_;
-  }
+  void HandlePacket(const Packet&, uint32_t) override { ++single_calls_; }
   void HandleBurst(BurstArrival* arrivals, size_t count) override {
-    ++burst_calls_;
-    last_burst_size_ = count;
+    burst_sizes_.push_back(count);
     for (size_t i = 0; i < count; ++i) {
       seqs_.push_back(arrivals[i].pkt->nc.seq);
       ports_.push_back(arrivals[i].port);
+      times_.push_back(sim_->Now());
     }
   }
 
   Simulator* sim_;
   std::vector<uint32_t> seqs_;
   std::vector<uint32_t> ports_;
+  std::vector<SimTime> times_;
+  std::vector<size_t> burst_sizes_;
   size_t single_calls_ = 0;
-  size_t burst_calls_ = 0;
-  size_t last_burst_size_ = 0;
 };
 
 Simulator::DeliveryRec Rec(Simulator& sim, Node* node, uint32_t port, uint32_t seq) {
@@ -396,8 +384,7 @@ TEST(SimulatorBurstTest, CoalescesSameInstantDeliveries) {
   sim.ScheduleDeliveryAt(100, Rec(sim, &node, 2, 1));
   sim.ScheduleDeliveryAt(100, Rec(sim, &node, 1, 2));
   sim.RunAll();
-  EXPECT_EQ(node.burst_calls_, 1u);
-  EXPECT_EQ(node.last_burst_size_, 3u);
+  EXPECT_EQ(node.burst_sizes_, (std::vector<size_t>{3}));
   EXPECT_EQ(node.seqs_, (std::vector<uint32_t>{0, 1, 2}));  // arrival order
   EXPECT_EQ(node.ports_, (std::vector<uint32_t>{1, 2, 1}));
   EXPECT_EQ(sim.bursts_dispatched(), 1u);
@@ -405,7 +392,7 @@ TEST(SimulatorBurstTest, CoalescesSameInstantDeliveries) {
   EXPECT_EQ(sim.events_processed(), 3u);  // each delivery still counts
 }
 
-TEST(SimulatorBurstTest, DifferentTimesOrNodesDoNotCoalesce) {
+TEST(SimulatorBurstTest, LoneDeliveriesAreOnePacketBursts) {
   Simulator sim;
   RecordingNode a(&sim);
   RecordingNode b(&sim);
@@ -413,10 +400,12 @@ TEST(SimulatorBurstTest, DifferentTimesOrNodesDoNotCoalesce) {
   sim.ScheduleDeliveryAt(100, Rec(sim, &b, 0, 1));  // different node
   sim.ScheduleDeliveryAt(101, Rec(sim, &a, 0, 2));  // different time
   sim.RunAll();
-  EXPECT_EQ(a.burst_calls_ + b.burst_calls_, 0u);
-  EXPECT_EQ(a.single_calls_, 2u);
-  EXPECT_EQ(b.single_calls_, 1u);
+  EXPECT_EQ(a.burst_sizes_, (std::vector<size_t>{1, 1}));
+  EXPECT_EQ(b.burst_sizes_, (std::vector<size_t>{1}));
+  EXPECT_EQ(a.single_calls_ + b.single_calls_, 0u);
+  // The burst counters book multi-packet deliveries only.
   EXPECT_EQ(sim.bursts_dispatched(), 0u);
+  EXPECT_EQ(sim.burst_packets(), 0u);
 }
 
 TEST(SimulatorBurstTest, PlainEventBreaksBatch) {
@@ -429,32 +418,16 @@ TEST(SimulatorBurstTest, PlainEventBreaksBatch) {
   sim.ScheduleAt(100, [&] { fired_after = static_cast<int>(node.seqs_.size()); });
   sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 1));
   sim.RunAll();
-  EXPECT_EQ(node.burst_calls_, 0u);
-  EXPECT_EQ(node.single_calls_, 2u);
+  EXPECT_EQ(node.burst_sizes_, (std::vector<size_t>{1, 1}));
   EXPECT_EQ(fired_after, 1);  // ran between the two deliveries
-}
-
-TEST(SimulatorBurstTest, CoalescingOffDispatchesSingly) {
-  Simulator sim;
-  sim.set_burst_coalescing(false);
-  RecordingNode node(&sim);
-  sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 0));
-  sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 1));
-  sim.RunAll();
-  EXPECT_EQ(node.burst_calls_, 0u);
-  EXPECT_EQ(node.single_calls_, 2u);
-  EXPECT_EQ(node.seqs_, (std::vector<uint32_t>{0, 1}));
   EXPECT_EQ(sim.bursts_dispatched(), 0u);
 }
 
 // ------------------------------------------------- link egress coalescing
 //
 // Same-instant transmissions on one link direction form a transmit group
-// delivered as one burst at the LAST member's serialization end plus
+// delivered as one burst record at the LAST member's serialization end plus
 // propagation (the far NIC raises one interrupt for the back-to-back train).
-// With --no-egress-batch the group ships as adjacent per-packet records that
-// the dispatcher re-coalesces — every observable (arrival order, times,
-// burst shape, link accounting, event totals) must be identical.
 
 class NullTx : public Node {
  public:
@@ -462,54 +435,31 @@ class NullTx : public Node {
   void HandlePacket(const Packet&, uint32_t) override {}
 };
 
-class TimedRx : public Node {
- public:
-  explicit TimedRx(Simulator* sim) : Node("rx"), sim_(sim) {}
-  void HandlePacket(const Packet& pkt, uint32_t port) override {
-    ++single_calls_;
-    Record(pkt, port);
-  }
-  void HandleBurst(BurstArrival* arrivals, size_t count) override {
-    ++burst_calls_;
-    last_burst_size_ = count;
-    for (size_t i = 0; i < count; ++i) {
-      Record(*arrivals[i].pkt, arrivals[i].port);
-    }
-  }
-  void Record(const Packet& pkt, uint32_t port) {
-    seqs_.push_back(pkt.nc.seq);
-    ports_.push_back(port);
-    times_.push_back(sim_->Now());
-  }
-
-  Simulator* sim_;
-  std::vector<uint32_t> seqs_;
-  std::vector<uint32_t> ports_;
-  std::vector<SimTime> times_;
-  size_t single_calls_ = 0;
-  size_t burst_calls_ = 0;
-  size_t last_burst_size_ = 0;
-};
-
 struct EgressLeg {
   std::vector<uint32_t> seqs;
   std::vector<SimTime> times;
-  size_t burst_calls = 0;
-  size_t single_calls = 0;
-  size_t last_burst_size = 0;
+  std::vector<size_t> burst_sizes;
   uint64_t delivered = 0;
-  uint64_t bytes = 0;
   uint64_t events = 0;
+  uint64_t bursts_dispatched = 0;
 };
 
-EgressLeg RunEgressLeg(bool egress_batch, uint32_t packets) {
+// Transmits `packets` back-to-back at t=10. A nonzero `fence` partitions the
+// simulation (both ends on LP 1) and schedules a global event at that
+// instant, which turns it into a serial instant.
+EgressLeg RunEgressLeg(uint32_t packets, SimTime fence = 0) {
   Simulator sim;
-  sim.set_egress_batching(egress_batch);
   NullTx tx;
-  TimedRx rx(&sim);
+  RecordingNode rx(&sim);
   Link link(&sim, LinkConfig{});
   link.Connect(&tx, 0, &rx, 0);
-  sim.ScheduleAt(10, [&] {
+  if (fence != 0) {
+    tx.set_lp(1);
+    rx.set_lp(1);
+    EXPECT_TRUE(sim.ConfigurePartitions(1, 1));
+    sim.ScheduleGlobalAt(fence, [] {});
+  }
+  sim.ScheduleAtFor(&tx, 10, [&] {
     for (uint32_t i = 0; i < packets; ++i) {
       link.Transmit(0, MakeGet(kClient, kServerA, K(i), i));
     }
@@ -517,46 +467,43 @@ EgressLeg RunEgressLeg(bool egress_batch, uint32_t packets) {
   sim.RunAll();
   return EgressLeg{rx.seqs_,
                    rx.times_,
-                   rx.burst_calls_,
-                   rx.single_calls_,
-                   rx.last_burst_size_,
+                   rx.burst_sizes_,
                    link.stats(0).delivered,
-                   link.stats(0).bytes,
-                   sim.events_processed()};
+                   sim.events_processed(),
+                   sim.bursts_dispatched()};
 }
 
 TEST(EgressCoalescingTest, SameInstantTrainDeliversAsOneBurst) {
-  EgressLeg leg = RunEgressLeg(/*egress_batch=*/true, 5);
-  EXPECT_EQ(leg.burst_calls, 1u);
-  EXPECT_EQ(leg.single_calls, 0u);
-  EXPECT_EQ(leg.last_burst_size, 5u);
+  EgressLeg leg = RunEgressLeg(5);
+  EXPECT_EQ(leg.burst_sizes, (std::vector<size_t>{5}));
   EXPECT_EQ(leg.seqs, (std::vector<uint32_t>{0, 1, 2, 3, 4}));  // transmit order
   ASSERT_EQ(leg.times.size(), 5u);
   for (SimTime t : leg.times) {
     EXPECT_EQ(t, leg.times.front());  // one shared delivery instant
   }
   EXPECT_EQ(leg.delivered, 5u);
+  EXPECT_EQ(leg.bursts_dispatched, 1u);
 }
 
-TEST(EgressCoalescingTest, NoEgressBatchLegIsObservationallyIdentical) {
-  EgressLeg batched = RunEgressLeg(/*egress_batch=*/true, 6);
-  EgressLeg unbatched = RunEgressLeg(/*egress_batch=*/false, 6);
-  EXPECT_EQ(batched.seqs, unbatched.seqs);
-  EXPECT_EQ(batched.times, unbatched.times);
-  EXPECT_EQ(batched.burst_calls, unbatched.burst_calls);
-  EXPECT_EQ(batched.single_calls, unbatched.single_calls);
-  EXPECT_EQ(batched.last_burst_size, unbatched.last_burst_size);
-  EXPECT_EQ(batched.delivered, unbatched.delivered);
-  EXPECT_EQ(batched.bytes, unbatched.bytes);
-  // A burst record weighs its member count, so event totals agree too.
-  EXPECT_EQ(batched.events, unbatched.events);
-  EXPECT_EQ(batched.burst_calls, 1u);  // and the burst actually happened
+TEST(EgressCoalescingTest, SerialInstantDeliveryIsNotCountedAsBurst) {
+  EgressLeg plain = RunEgressLeg(3);
+  ASSERT_EQ(plain.times.size(), 3u);
+  EgressLeg fenced = RunEgressLeg(3, plain.times.front());
+  // The group still arrives whole at the same instant, but serial instants
+  // do not coalesce, so the burst counters leave it out.
+  EXPECT_EQ(fenced.burst_sizes, (std::vector<size_t>{3}));
+  EXPECT_EQ(fenced.seqs, plain.seqs);
+  EXPECT_EQ(fenced.times, plain.times);
+  EXPECT_EQ(fenced.delivered, 3u);
+  EXPECT_EQ(fenced.bursts_dispatched, 0u);
+  // A burst record weighs its member count (the fence adds one event).
+  EXPECT_EQ(fenced.events, plain.events + 1);
 }
 
 TEST(EgressCoalescingTest, DistinctInstantsFormDistinctGroups) {
   Simulator sim;
   NullTx tx;
-  TimedRx rx(&sim);
+  RecordingNode rx(&sim);
   Link link(&sim, LinkConfig{});
   link.Connect(&tx, 0, &rx, 0);
   // Two transmissions accepted at different instants: the second queues
@@ -565,8 +512,7 @@ TEST(EgressCoalescingTest, DistinctInstantsFormDistinctGroups) {
   sim.ScheduleAt(10, [&] { link.Transmit(0, MakeGet(kClient, kServerA, K(0), 0)); });
   sim.ScheduleAt(11, [&] { link.Transmit(0, MakeGet(kClient, kServerA, K(1), 1)); });
   sim.RunAll();
-  EXPECT_EQ(rx.burst_calls_, 0u);
-  EXPECT_EQ(rx.single_calls_, 2u);
+  EXPECT_EQ(rx.burst_sizes_, (std::vector<size_t>{1, 1}));
   EXPECT_EQ(rx.seqs_, (std::vector<uint32_t>{0, 1}));
   ASSERT_EQ(rx.times_.size(), 2u);
   EXPECT_LT(rx.times_[0], rx.times_[1]);

@@ -9,11 +9,7 @@
 # 2. Runs netcache_sim sweep once serially and once on 4 worker threads and
 #    asserts both stdout and the metrics JSON are byte-identical — the
 #    core/sweep.h contract that parallel execution never changes results.
-# 3. Runs the rack once with the default burst-coalescing dispatcher and once
-#    with --no-burst and asserts the metrics JSON is byte-identical — the
-#    net/simulator.h contract that coalescing same-instant deliveries into
-#    HandleBurst changes throughput, never results.
-# 4. Runs the rack under the partitioned schedule with --sim-threads=1, =4
+# 3. Runs the rack under the partitioned schedule with --sim-threads=1, =4
 #    and =8 and asserts the metrics JSON is byte-identical across all three —
 #    the parallel-DES contract that worker count never changes results (the
 #    windowed schedule itself is allowed to differ from the legacy serial
@@ -24,18 +20,14 @@
 #    --trace-out and the packet-lifecycle trace JSONL must byte-match: the
 #    trace ring records from every worker and serializes in canonical
 #    (t, stream, seq) order.
-# 5. Runs the 8-worker rack again with the LP-ownership sanitizer armed
-#    (--lp-checks) and asserts the metrics JSON matches run 4's — the
+# 4. Runs the 8-worker rack again with the LP-ownership sanitizer armed
+#    (--lp-checks) and asserts the metrics JSON matches run 3's — the
 #    common/lp_ownership.h contract that the sanitizer observes, never
 #    perturbs.
-# 6. Runs the rack once with --no-simd and asserts the metrics JSON matches
+# 5. Runs the rack once with --no-simd and asserts the metrics JSON matches
 #    run 1's after stripping the config's "simd_level" field (the one
 #    intended difference) — the common/simd.h contract that the vectorized
 #    burst kernels are bit-identical to the scalar path.
-# 7. Runs the rack once with --no-egress-batch and asserts the metrics JSON
-#    matches run 1's — the net/link.h contract that shipping a transmit group
-#    as one burst delivery record (vs adjacent per-packet records) changes
-#    record format only, never results.
 
 # 8 servers so the --sim-threads=8 leg gets 8 real workers (the simulator
 # clamps workers to the LP count, and a clamp surfaces as
@@ -103,28 +95,6 @@ foreach(ext txt json)
         "(${WORK_DIR}/sweep_serial.${ext} vs sweep_threads.${ext})")
   endif()
 endforeach()
-
-# Burst coalescing vs per-packet dispatch: metrics JSON byte-identical. The
-# default-dispatcher run from step 1 (determinism_a.json) is the reference.
-execute_process(
-  COMMAND ${SIM} ${FLAGS} --no-burst
-          --metrics-out=${WORK_DIR}/determinism_noburst.json
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--no-burst run exited ${rc}:\n${out}\n${err}")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/determinism_a.json ${WORK_DIR}/determinism_noburst.json
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-      "burst-coalesced and --no-burst runs produced different metrics JSON "
-      "(${WORK_DIR}/determinism_a.json vs determinism_noburst.json)")
-endif()
 
 # Parallel DES: 1, 4 and 8 workers over the identical partitioned schedule,
 # invariant checkers on, metrics JSON byte-identical. The 1- and 8-worker
@@ -232,29 +202,4 @@ if(NOT diff_rc EQUAL 0)
       "--no-simd changed the metrics JSON beyond config.simd_level: the "
       "vectorized burst kernels must be bit-identical to the scalar path "
       "(${WORK_DIR}/determinism_a_nolevel.json vs determinism_nosimd_nolevel.json)")
-endif()
-
-# Egress burst records vs per-packet delivery records (--no-egress-batch,
-# net/link.h): both legs share the transmit-group timing model — the flag
-# only switches the record format a closed group ships as — so the runs must
-# be byte-identical, including every deterministic event/burst counter.
-execute_process(
-  COMMAND ${SIM} ${FLAGS} --no-egress-batch
-          --metrics-out=${WORK_DIR}/determinism_noegress.json
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--no-egress-batch run exited ${rc}:\n${out}\n${err}")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/determinism_a.json ${WORK_DIR}/determinism_noegress.json
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-      "--no-egress-batch changed the metrics JSON: burst delivery records "
-      "must be observationally identical to per-packet records "
-      "(${WORK_DIR}/determinism_a.json vs determinism_noegress.json)")
 endif()

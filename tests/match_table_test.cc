@@ -57,16 +57,6 @@ TEST(MatchTableTest, RemoveFreesCapacity) {
   EXPECT_TRUE(t.InsertEntry(K(2), {}).ok());
 }
 
-TEST(MatchTableTest, LookupCounters) {
-  ExactMatchTable<TestAction> t(4);
-  t.InsertEntry(K(1), {});
-  t.Match(K(1));
-  t.Match(K(1));
-  t.Match(K(2));
-  EXPECT_EQ(t.lookups(), 3u);
-  EXPECT_EQ(t.hits(), 2u);
-}
-
 TEST(MatchTableTest, ForEachEntryVisitsAll) {
   ExactMatchTable<TestAction> t(8);
   for (uint64_t i = 0; i < 5; ++i) {

@@ -398,5 +398,130 @@ TEST(PerCoreServerTest, UniformKeysUseAllCores) {
   }
 }
 
+// ------------------------------------------------- burst delivery
+
+// The simulator hands a server every delivery as a HandleBurst call, and a
+// multi-packet one takes the staged receive path (batched digest steer,
+// store prefetch). It must admit, queue and answer exactly like the same
+// packets delivered one at a time.
+struct BurstRig {
+  BurstRig() {
+    ServerConfig cfg;
+    cfg.ip = kServer;
+    cfg.switch_ip = kSwitch;
+    cfg.service_rate_qps = 4e6;
+    cfg.num_cores = 4;
+    cfg.queue_capacity = 8;  // 3 per core: the burst overflows some cores
+    cfg.update_retry_timeout = 50 * kMicrosecond;
+    server = std::make_unique<StorageServer>(&sim, "server", cfg);
+    link = std::make_unique<Link>(&sim, LinkConfig{});
+    link->Connect(server.get(), 0, &tor, 0);
+    server->SetUpdateRejectHandler(
+        [this](const Key& key, const Value&) { rejected.push_back(key); });
+    for (uint64_t id = 0; id < 16; ++id) {
+      server->store().Put(K(id), Value::Filler(id, 16));
+    }
+    // Pending cache updates for the burst's ack (20), reject (21) and
+    // blocked write (22).
+    for (uint64_t id = 20; id < 23; ++id) {
+      Packet put = MakePut(kClient, kServer, K(id), Value::Filler(id, 64), 0);
+      put.nc.op = OpCode::kCachedPut;
+      Inject2(tor, put);
+    }
+    sim.RunUntil(10 * kMicrosecond);
+  }
+
+  Simulator sim;
+  TorStub tor;
+  std::unique_ptr<StorageServer> server;
+  std::unique_ptr<Link> link;
+  std::vector<Key> rejected;
+};
+
+std::vector<Packet> MixedServerBurst() {
+  std::vector<Packet> pkts;
+  uint32_t seq = 100;
+  for (uint64_t id : {1, 2, 3, 99, 5, 6, 1, 7}) {
+    pkts.push_back(MakeGet(kClient, kServer, K(id), seq++));  // 99 misses
+  }
+  pkts.push_back(MakePut(kClient, kServer, K(8), Value::Filler(8, 32), seq++));
+  pkts.push_back(MakeDelete(kClient, kServer, K(9), seq++));
+  Packet cached_put = MakePut(kClient, kServer, K(10), Value::Filler(10, 48), seq++);
+  cached_put.nc.op = OpCode::kCachedPut;
+  pkts.push_back(cached_put);
+  Packet cached_delete = MakeDelete(kClient, kServer, K(11), seq++);
+  cached_delete.nc.op = OpCode::kCachedDelete;
+  pkts.push_back(cached_delete);
+  pkts.push_back(MakePut(kClient, kServer, K(22), Value::Filler(22, 16), seq++));  // deferred
+  for (uint64_t id : {20, 21}) {
+    Packet control = MakeGet(kSwitch, kServer, K(id), seq++);
+    control.nc.op = id == 20 ? OpCode::kCacheUpdateAck : OpCode::kCacheUpdateReject;
+    pkts.push_back(control);
+  }
+  Packet plain = MakeGet(kClient, kServer, K(12), seq++);
+  plain.is_netcache = false;
+  pkts.push_back(plain);
+  for (uint64_t id = 12; id < 16; ++id) {
+    pkts.push_back(MakeGet(kClient, kServer, K(id), seq++));
+  }
+  // Half the keys arrive with the digest a switch would have stamped.
+  for (size_t i = 0; i < pkts.size(); i += 2) {
+    pkts[i].digest = KeyDigest::Of(pkts[i].nc.key);
+  }
+  return pkts;
+}
+
+TEST(ServerBurstTest, BurstMatchesOnePacketDeliveries) {
+  BurstRig burst;
+  BurstRig single;
+  std::vector<Packet> pkts = MixedServerBurst();
+  std::vector<BurstArrival> arrivals;
+  for (Packet& p : pkts) {
+    arrivals.push_back(BurstArrival{&p, 0});
+  }
+  burst.server->HandleBurst(arrivals.data(), arrivals.size());
+  for (BurstArrival& a : arrivals) {
+    single.server->HandleBurst(&a, 1);
+  }
+  burst.sim.RunUntil(500 * kMicrosecond);
+  single.sim.RunUntil(500 * kMicrosecond);
+
+  const ServerStats& b = burst.server->stats();
+  const ServerStats& s = single.server->stats();
+  EXPECT_EQ(b.received, s.received);
+  EXPECT_EQ(b.enqueued, s.enqueued);
+  EXPECT_EQ(b.dropped, s.dropped);
+  EXPECT_EQ(b.reads, s.reads);
+  EXPECT_EQ(b.read_misses, s.read_misses);
+  EXPECT_EQ(b.writes, s.writes);
+  EXPECT_EQ(b.deferred_writes, s.deferred_writes);
+  EXPECT_EQ(b.cache_updates_sent, s.cache_updates_sent);
+  EXPECT_EQ(b.cache_update_acks, s.cache_update_acks);
+  EXPECT_EQ(b.cache_update_rejects, s.cache_update_rejects);
+  EXPECT_EQ(b.cache_update_retries, s.cache_update_retries);
+  EXPECT_EQ(burst.rejected, single.rejected);
+
+  const std::vector<Packet>& br = burst.tor.received;
+  const std::vector<Packet>& sr = single.tor.received;
+  ASSERT_EQ(br.size(), sr.size());
+  for (size_t i = 0; i < br.size(); ++i) {
+    EXPECT_EQ(br[i].nc.op, sr[i].nc.op) << "reply " << i;
+    EXPECT_EQ(br[i].nc.seq, sr[i].nc.seq) << "reply " << i;
+    EXPECT_EQ(br[i].nc.key, sr[i].nc.key) << "reply " << i;
+    EXPECT_EQ(br[i].nc.has_value, sr[i].nc.has_value) << "reply " << i;
+    EXPECT_EQ(br[i].nc.value, sr[i].nc.value) << "reply " << i;
+    EXPECT_EQ(br[i].ip.src, sr[i].ip.src) << "reply " << i;
+    EXPECT_EQ(br[i].ip.dst, sr[i].ip.dst) << "reply " << i;
+  }
+
+  // The burst exercised every branch it claims to.
+  EXPECT_GT(b.dropped, 0u);
+  EXPECT_GT(b.read_misses, 0u);
+  EXPECT_EQ(b.deferred_writes, 1u);
+  EXPECT_EQ(b.cache_update_acks, 1u);
+  EXPECT_EQ(b.cache_update_rejects, 1u);
+  EXPECT_EQ(burst.rejected, std::vector<Key>{K(21)});
+}
+
 }  // namespace
 }  // namespace netcache

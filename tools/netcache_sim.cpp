@@ -59,9 +59,6 @@ int Usage(const char* program) {
                "\n"
                "rack:      --servers --rate --keys --zipf --cache --offered --duration\n"
                "           --write-ratio --skewed-writes --no-cache --cores --seed\n"
-               "           --no-burst (disable same-instant delivery coalescing)\n"
-               "           --no-egress-batch (ship transmit groups as per-packet\n"
-               "                              delivery records; byte-identical output)\n"
                "           --sim-threads=N (parallel DES: one logical process per\n"
                "                            server plus one for switch+clients, run\n"
                "                            on N threads; 0=serial dispatcher;\n"
@@ -200,13 +197,6 @@ int RunRack(ArgParser& args) {
   std::unique_ptr<Profiler> profiler;
 
   Rack rack(cfg);
-  // Burst coalescing must produce byte-identical output (determinism_test leg
-  // 3 diffs this against the default); the flag exists to prove it.
-  rack.sim().set_burst_coalescing(!args.GetBool("no-burst", false));
-  // Same contract for egress batching: transmit groups ship as one burst
-  // record or as per-packet records, with identical timing and counters
-  // either way (determinism_test holds the legs together byte-for-byte).
-  rack.sim().set_egress_batching(!args.GetBool("no-egress-batch", false));
   // The effective worker count can differ from the request: a zero-lookahead
   // topology falls back to the serial dispatcher. Recorded in the metrics
   // JSON when they differ so downstream comparisons see what actually ran.
