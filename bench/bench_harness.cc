@@ -20,9 +20,6 @@ BenchHarness::BenchHarness(int argc, char** argv, std::string name)
   sim_threads_ = static_cast<size_t>(args.GetInt("sim-threads", 0));
   effective_sim_threads_.store(sim_threads_, std::memory_order_relaxed);
   serial_ = args.GetBool("serial", false);
-  if (args.GetBool("no-simd", false)) {
-    ForceScalarSimd();
-  }
   if (!profile_out_.empty()) {
     Profiler::Options popts;
     popts.spans_per_lane =
@@ -79,8 +76,8 @@ int BenchHarness::Finish() const {
   w.Field("seed", seed_);
   // Run configuration. bench_regress.py hard-errors when two documents
   // disagree here: wall-clock (and, for --sim-threads, tie-break schedules)
-  // are not comparable across threading setups, and scalar-vs-SIMD numbers
-  // are different codepaths entirely.
+  // are not comparable across threading setups or across hosts whose CPUs
+  // run different digest levels.
   w.Name("config");
   w.BeginObject();
   w.Field("threads", static_cast<uint64_t>(threads_));
@@ -91,8 +88,7 @@ int BenchHarness::Finish() const {
   w.Field("sim_threads_effective",
           static_cast<uint64_t>(effective_sim_threads_.load(std::memory_order_relaxed)));
   w.Field("serial", serial_ ? 1 : 0);
-  // "avx2" | "scalar" — the SIMD dispatch level the trials ran at (lowered
-  // by --no-simd / NETCACHE_SIMD=OFF / a non-AVX2 host).
+  // "sse2" | "scalar" — the build's vector level (scalar off x86-64).
   w.Field("simd_level", ActiveSimdLevelName());
   w.EndObject();
   w.Name("trials");

@@ -16,23 +16,21 @@
 //   --serial           force serial trial execution
 //   --sim-threads=N    parallel-DES threads inside each trial's simulator
 //                      (0 = serial dispatcher)
-//   --no-simd          force the scalar SIMD level for the whole process
-//                      (same effect as NETCACHE_SIMD=OFF in the environment)
 //   --profile-out=FILE wall-clock profile of the whole run as Chrome
 //                      trace-event JSON (Perfetto-loadable; aggregate with
 //                      tools/profile_report.py) — installed for the process
 //                      lifetime, so every trial's spans land in one file
 //   --profile-limit=N  timeline spans kept per recording thread
 //
-// The threading and SIMD knobs are recorded in the JSON's top-level "config"
-// object — including `sim_threads_effective`, which DES benches set to what
-// actually ran (RecordEffectiveSimThreads) when e.g. a zero-lookahead
-// topology forces the serial-dispatcher fallback, and `simd_level`
-// ("avx2" | "scalar"), the dispatch level the trials executed at.
-// scripts/bench_regress.py refuses to compare documents whose run configs
-// differ, so a parallel run can never be graded against a serial baseline
-// (or vice versa), nor an AVX2 run against a scalar one, nor against a run
-// whose parallel request silently degraded.
+// The threading knobs are recorded in the JSON's top-level "config" object —
+// including `sim_threads_effective`, which DES benches set to what actually
+// ran (RecordEffectiveSimThreads) when e.g. a zero-lookahead topology forces
+// the serial-dispatcher fallback — along with `simd_level` ("sse2" |
+// "scalar"), the build's vector level. scripts/bench_regress.py refuses
+// to compare documents whose run configs differ, so a parallel run can never
+// be graded against a serial baseline (or vice versa), nor an x86-64 run
+// against a non-x86 one, nor against a run whose parallel request silently
+// degraded.
 //
 // Wall-clock calls live only in bench/ — the simulation library and tools are
 // wall-clock-free by lint rule; benches are the one place timing is the point.

@@ -26,7 +26,6 @@
 
 #include "bench/bench_harness.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "core/snake.h"
 #include "dataplane/netcache_switch.h"
 #include "workload/generator.h"
@@ -234,13 +233,11 @@ BENCHMARK(BM_SwitchReadMiss);
 
 // --- Harness trials: burst read-hit throughput, gated by bench_regress.py ---
 //
-// One timed trial per value size drives the full SIMD burst fast path
-// (batched ingress digests, grouped table probes, vectorized sketch updates
-// on the ~0 misses) at the native dispatch level, plus one forced-scalar
-// leg at 32 B for the before/after ratio. events_per_sec feeds the --perf
-// one-sided gate: the committed BENCH_fig09_baseline.json was produced with
-// the SIMD path live, so a change that loses the vectorization speedup
-// regresses events_per_sec and fails CI on an AVX2 runner. cache_hits is the
+// One timed trial per value size drives the full burst fast path (batched
+// ingress digests, grouped table probes, batched sketch updates on the ~0
+// misses, the one-call value gather). events_per_sec feeds the --perf
+// one-sided gate against the committed BENCH_fig09_baseline.json, so a
+// change that wrecks the batched pipeline fails CI. cache_hits is the
 // deterministic cross-check (identical streams must hit identically).
 
 constexpr size_t kTrialBurstPasses = 2000;
@@ -271,12 +268,6 @@ void RunBurstHitTrials(bench::BenchHarness& harness) {
     RunBurstHitTrial(harness, "BurstReadHit/value=" + std::to_string(value_size),
                      value_size);
   }
-  // Forced-scalar twin of the 32 B point: the native/scalar events_per_sec
-  // ratio IS the SIMD fast-path speedup (docs/PERFORMANCE.md quotes it).
-  // Reusing the memoized switch is fine — the read-hit path never touches
-  // the sketches, and the cache_hits metric is a per-leg delta.
-  ScopedScalarSimd scalar;
-  RunBurstHitTrial(harness, "BurstReadHit/value=32/scalar", 32);
 }
 
 void PrintLineRateDerivation() {

@@ -61,13 +61,12 @@ void BM_BloomTestAndSet(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomTestAndSet);
 
-// --- SIMD batch kernels (common/simd.h dispatch) vs their scalar twins ---
+// --- Batch kernels ---
 //
 // The burst pipeline feeds whole Get-runs through UpdateBatch /
-// TestAndSetBatch / the grouped table probe; these benches measure the batch
-// kernels in isolation at the native dispatch level and forced-scalar
-// (ScopedScalarSimd), over the per-arg batch size. The harness trial groups
-// below gate the same kernels in CI with bit-equivalence NC_CHECKs.
+// TestAndSetBatch and digests them with simd::DigestGather16; these benches
+// measure the batch forms in isolation over the per-arg batch size. The
+// harness trials below gate the same kernels in CI with checksums.
 
 void BM_CountMinUpdateBatch(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
@@ -83,22 +82,6 @@ void BM_CountMinUpdateBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
 }
 BENCHMARK(BM_CountMinUpdateBatch)->Arg(8)->Arg(32)->Arg(64);
-
-void BM_CountMinUpdateBatch_Scalar(benchmark::State& state) {
-  ScopedScalarSimd scalar;
-  size_t batch = static_cast<size_t>(state.range(0));
-  CountMinSketch cms(4, 64 * 1024, 1);
-  Rng rng(1);
-  std::vector<KeyDigest> digests(batch);
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 20)));
-    }
-    cms.UpdateBatch(digests.data(), batch, nullptr);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_CountMinUpdateBatch_Scalar)->Arg(32);
 
 void BM_BloomTestAndSetBatch(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
@@ -117,23 +100,27 @@ void BM_BloomTestAndSetBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomTestAndSetBatch)->Arg(8)->Arg(32)->Arg(64);
 
-void BM_DigestBatch16(benchmark::State& state) {
+void BM_DigestGather16(benchmark::State& state) {
   Rng rng(3);
   constexpr size_t kBatch = 64;
-  std::vector<uint8_t> key_bytes(kBatch * kKeySize);
-  for (uint8_t& b : key_bytes) {
-    b = static_cast<uint8_t>(rng.Next());
+  std::vector<Key> keys(kBatch);
+  std::vector<const uint8_t*> key_ptrs(kBatch);
+  for (size_t i = 0; i < kBatch; ++i) {
+    for (uint8_t& b : keys[i].bytes) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    key_ptrs[i] = keys[i].bytes.data();
   }
   std::vector<uint64_t> h1(kBatch);
   std::vector<uint64_t> h2(kBatch);
   for (auto _ : state) {
-    simd::DigestBatch16(key_bytes.data(), kBatch, h1.data(), h2.data());
+    simd::DigestGather16(key_ptrs.data(), kBatch, h1.data(), h2.data());
     benchmark::DoNotOptimize(h1);
     benchmark::DoNotOptimize(h2);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
 }
-BENCHMARK(BM_DigestBatch16);
+BENCHMARK(BM_DigestGather16);
 
 // --- Sketch hashing: per-probe seeded hashes vs one digest + KM probes ---
 //
@@ -204,10 +191,10 @@ void BM_FlatTableFind(benchmark::State& state) {
 BENCHMARK(BM_FlatTableFind);
 
 // Same probe workload near the 7/8 growth ceiling (~87% load), where the
-// robin-hood chains are long enough that the load-aware dispatch in
-// FlatTable::Locate switches to the 16-way grouped control-byte scan when a
-// SIMD level is active. BM_FlatTableFind above sits at 50% load and takes the
-// scalar walk in both modes; this is the regime the grouped probe exists for.
+// robin-hood chains are long enough that the load-aware choice in
+// FlatTable::Locate switches to the 16-way grouped control-byte scan.
+// BM_FlatTableFind above sits at 50% load and takes the slot-by-slot walk;
+// this is the regime the grouped probe exists for.
 void BM_FlatTableFindHighLoad(benchmark::State& state) {
   FlatTable<Key, uint64_t, KeyHasher> table;
   constexpr uint64_t kKeys = 57000;  // 65536-slot table, no growth past it
@@ -542,14 +529,10 @@ void RunBurstTrials(bench::BenchHarness& harness) {
   }
 }
 
-// --- SketchBatch / TableGroupProbe trials: the SIMD batch kernels at the
-// native dispatch level vs forced-scalar (ScopedScalarSimd). Both legs run
-// the identical workload and must produce the identical checksum — the
-// bit-equivalence contract of common/simd.h, NC_CHECKed on every run. The
-// wall_ms/events pair feeds the --perf gate; on hosts without AVX2 the
-// "simd" leg degenerates to a second scalar run (the checksum still pins
-// determinism) and the JSON's config.simd_level records that, so
-// bench_regress.py refuses cross-host apples-to-oranges comparisons.
+// --- SketchBatch / TableGroupProbe trials: the burst path's batched sketch
+// updates and the high-load grouped table probe. The checksum pins the
+// results (deterministic for the fixed streams below); the wall_ms/events
+// pair feeds the --perf gate.
 
 constexpr size_t kBatchTrialKeys = 1'000'000;
 constexpr size_t kBatchTrialBurst = 32;
@@ -577,38 +560,23 @@ uint64_t RunSketchBatchPass(bench::TrialRecord& trial) {
   return acc;
 }
 
-void RunSketchBatchTrials(bench::BenchHarness& harness) {
-  uint64_t scalar_acc = 0;
-  uint64_t simd_acc = 0;
-  {
-    auto& trial = harness.AddTrial("SketchBatch/scalar");
-    trial.Config("keys", static_cast<double>(kBatchTrialKeys))
-        .Config("burst", static_cast<double>(kBatchTrialBurst));
-    ScopedScalarSimd scalar;
-    scalar_acc = RunSketchBatchPass(trial);
-    trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
-  }
-  {
-    auto& trial = harness.AddTrial("SketchBatch/simd");
-    trial.Config("keys", static_cast<double>(kBatchTrialKeys))
-        .Config("burst", static_cast<double>(kBatchTrialBurst));
-    simd_acc = RunSketchBatchPass(trial);
-    trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
-  }
-  NC_CHECK(scalar_acc == simd_acc);
+void RunSketchBatchTrial(bench::BenchHarness& harness) {
+  auto& trial = harness.AddTrial("SketchBatch");
+  trial.Config("keys", static_cast<double>(kBatchTrialKeys))
+      .Config("burst", static_cast<double>(kBatchTrialBurst));
+  uint64_t acc = RunSketchBatchPass(trial);
+  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
 // --- ServeStage / ServerBurst trials: the fig09 burst-serving kernels.
 //
-// ServeStage drives ValueStore::StageGather + simd::GatherValueSlots exactly
+// ServeStage drives ValueStore::StageGather + GatherValueSlots exactly
 // the way the switch's ProcessGetRun does — pointer pairs accumulated across
 // a 32-packet Get-run, one kernel call over the whole run — across the fig09
 // value-size sweep (32/64/96/128 B). ServerBurst drives the storage server's
 // ingress stages: simd::DigestGather16 over the burst's keys, digest-derived
 // core steering, the one-sweep bucket prefetch, then in-order KvStore::GetInto.
-// Each group runs a forced-scalar leg and a native-dispatch leg over the
-// identical stream; the checksums must agree bit-for-bit (NC_CHECKed every
-// run), and wall_ms/events feed the --perf gate.
+// wall_ms/events feed the --perf gate.
 
 constexpr size_t kServeTrialIndexes = 8 * 1024;
 constexpr size_t kServeTrialReads = 1'000'000;
@@ -638,7 +606,7 @@ uint64_t RunServeStagePass(bench::TrialRecord& trial) {
       out[i].set_size(sizes[idx]);
       cursor = vs.StageGather(bitmaps[idx], idx, sizes[idx], out[i].data(), srcs, dsts, cursor);
     }
-    simd::GatherValueSlots(srcs, dsts, cursor);
+    GatherValueSlots(srcs, dsts, cursor);
     for (size_t i = 0; i < kServeTrialBurst; ++i) {
       const uint8_t* bytes = out[i].data();
       for (size_t b = 0; b < out[i].size(); b += kValueUnitSize) {
@@ -651,25 +619,12 @@ uint64_t RunServeStagePass(bench::TrialRecord& trial) {
   return acc;
 }
 
-void RunServeStageTrials(bench::BenchHarness& harness) {
-  uint64_t scalar_acc = 0;
-  uint64_t simd_acc = 0;
-  {
-    auto& trial = harness.AddTrial("ServeStage/scalar");
-    trial.Config("reads", static_cast<double>(kServeTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
-    ScopedScalarSimd scalar;
-    scalar_acc = RunServeStagePass(trial);
-    trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
-  }
-  {
-    auto& trial = harness.AddTrial("ServeStage/simd");
-    trial.Config("reads", static_cast<double>(kServeTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
-    simd_acc = RunServeStagePass(trial);
-    trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
-  }
-  NC_CHECK(scalar_acc == simd_acc);
+void RunServeStageTrial(bench::BenchHarness& harness) {
+  auto& trial = harness.AddTrial("ServeStage");
+  trial.Config("reads", static_cast<double>(kServeTrialReads))
+      .Config("burst", static_cast<double>(kServeTrialBurst));
+  uint64_t acc = RunServeStagePass(trial);
+  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
 constexpr size_t kServerTrialKeys = 64 * 1024;
@@ -713,25 +668,12 @@ uint64_t RunServerBurstPass(bench::TrialRecord& trial) {
   return acc;
 }
 
-void RunServerBurstTrials(bench::BenchHarness& harness) {
-  uint64_t scalar_acc = 0;
-  uint64_t simd_acc = 0;
-  {
-    auto& trial = harness.AddTrial("ServerBurst/scalar");
-    trial.Config("reads", static_cast<double>(kServerTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
-    ScopedScalarSimd scalar;
-    scalar_acc = RunServerBurstPass(trial);
-    trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
-  }
-  {
-    auto& trial = harness.AddTrial("ServerBurst/simd");
-    trial.Config("reads", static_cast<double>(kServerTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
-    simd_acc = RunServerBurstPass(trial);
-    trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
-  }
-  NC_CHECK(scalar_acc == simd_acc);
+void RunServerBurstTrial(bench::BenchHarness& harness) {
+  auto& trial = harness.AddTrial("ServerBurst");
+  trial.Config("reads", static_cast<double>(kServerTrialReads))
+      .Config("burst", static_cast<double>(kServeTrialBurst));
+  uint64_t acc = RunServerBurstPass(trial);
+  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
 constexpr size_t kProbeTrialEntries = 50'000;
@@ -755,25 +697,12 @@ uint64_t RunTableProbePass(bench::TrialRecord& trial) {
   return acc;
 }
 
-void RunTableGroupProbeTrials(bench::BenchHarness& harness) {
-  uint64_t scalar_acc = 0;
-  uint64_t simd_acc = 0;
-  {
-    auto& trial = harness.AddTrial("TableGroupProbe/scalar");
-    trial.Config("entries", static_cast<double>(kProbeTrialEntries))
-        .Config("lookups", static_cast<double>(kProbeTrialLookups));
-    ScopedScalarSimd scalar;
-    scalar_acc = RunTableProbePass(trial);
-    trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
-  }
-  {
-    auto& trial = harness.AddTrial("TableGroupProbe/simd");
-    trial.Config("entries", static_cast<double>(kProbeTrialEntries))
-        .Config("lookups", static_cast<double>(kProbeTrialLookups));
-    simd_acc = RunTableProbePass(trial);
-    trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
-  }
-  NC_CHECK(scalar_acc == simd_acc);
+void RunTableGroupProbeTrial(bench::BenchHarness& harness) {
+  auto& trial = harness.AddTrial("TableGroupProbe");
+  trial.Config("entries", static_cast<double>(kProbeTrialEntries))
+      .Config("lookups", static_cast<double>(kProbeTrialLookups));
+  uint64_t acc = RunTableProbePass(trial);
+  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
 // --- ParallelDes trials: one rack workload under the windowed partitioned
@@ -885,10 +814,10 @@ int main(int argc, char** argv) {
   netcache::bench::BenchHarness harness(argc, argv, "micro_datastructures");
   netcache::RunSketchHashTrials(harness);
   netcache::RunBurstTrials(harness);
-  netcache::RunSketchBatchTrials(harness);
-  netcache::RunServeStageTrials(harness);
-  netcache::RunServerBurstTrials(harness);
-  netcache::RunTableGroupProbeTrials(harness);
+  netcache::RunSketchBatchTrial(harness);
+  netcache::RunServeStageTrial(harness);
+  netcache::RunServerBurstTrial(harness);
+  netcache::RunTableGroupProbeTrial(harness);
   netcache::RunParallelDesTrials(harness);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

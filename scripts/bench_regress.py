@@ -29,10 +29,10 @@ Both documents may carry a top-level "config" object recording the run setup
 written by bench_harness). When both sides have one and they disagree, the
 comparison is refused outright: wall-clock numbers are meaningless across
 threading setups, --sim-threads>=1 runs a different (windowed) event
-schedule than the legacy serial dispatcher, and a "scalar" simd_level run
-exercises a different codepath than an "avx2" one (the SIMD kernels fall
-back to their scalar twins). Re-run the candidate with the baseline's flags
-instead.
+schedule than the legacy serial dispatcher, and simd_level names the
+build's vector level, so "scalar" vs "sse2" means one run came from a
+non-x86 build. Re-run the candidate with the baseline's flags on a host
+of the baseline's architecture instead.
 
 Exit status: 0 when everything matches, 1 on any regression, missing trial,
 or missing metric. New trials/metrics present only in the candidate are
@@ -162,8 +162,8 @@ def main():
             f"  baseline  {args.baseline}: {json.dumps(base_cfg, sort_keys=True)}\n"
             f"  candidate {args.candidate}: {json.dumps(cand_cfg, sort_keys=True)}\n"
             "  Re-run the candidate with the baseline's --threads/--sim-threads/"
-            "--serial/--no-simd flags (simd_level must match: scalar and "
-            "AVX2 are different codepaths).")
+            "--serial flags (simd_level differs only by architecture: run on a "
+            "host of the baseline's architecture).")
     if base_doc.get("bench") != cand_doc.get("bench"):
         print(f"note: comparing different benches: {base_doc.get('bench')!r} "
               f"vs {cand_doc.get('bench')!r}")

@@ -1,172 +1,35 @@
-// Dispatch plumbing + portable scalar kernels for common/simd.h.
-//
-// This translation unit is compiled with the project's baseline flags — no
-// -mavx2 — so the scalar fallbacks can never pick up AVX2 instructions from
-// compiler auto-vectorization and a forced-scalar run is safe on any x86-64
-// (or non-x86) host. The AVX2 kernel bodies live in simd_avx2.cc, which is
-// compiled with -mavx2 only when the toolchain supports it (CMake option
-// NETCACHE_SIMD, default ON) and is only ever entered after the runtime cpu
-// check passes.
+// Out-of-line kernels for common/simd.h.
 
 #include "common/simd.h"
-
-#include <cstdlib>
-#include <cstring>
 
 #include "common/hash.h"
 
 namespace netcache {
 
-#if NETCACHE_HAVE_AVX2
-namespace simd_avx2 {
-// Implemented in simd_avx2.cc.
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2);
-void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2);
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx);
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out);
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n);
-}  // namespace simd_avx2
-#endif
-
-namespace {
-
-SimdLevel Detect() {
-#if NETCACHE_HAVE_AVX2
-  // NETCACHE_SIMD=OFF (or 0 / off / scalar) pins the portable path without a
-  // rebuild — the escape hatch the equivalence legs and bug triage use.
-  const char* env = std::getenv("NETCACHE_SIMD");
-  if (env != nullptr && (std::strcmp(env, "OFF") == 0 || std::strcmp(env, "off") == 0 ||
-                         std::strcmp(env, "0") == 0 || std::strcmp(env, "scalar") == 0)) {
-    return SimdLevel::kScalar;
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return SimdLevel::kAvx2;
-  }
-#endif
-  return SimdLevel::kScalar;
-}
-
-}  // namespace
-
-namespace internal {
-SimdLevel g_simd_level = Detect();
-}  // namespace internal
-
-void ForceScalarSimd() { internal::g_simd_level = SimdLevel::kScalar; }
-
-const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kScalar:
-      break;
-  }
+const char* ActiveSimdLevelName() {
+#if defined(__SSE2__)
+  return "sse2";
+#else
   return "scalar";
+#endif
 }
-
-ScopedScalarSimd::ScopedScalarSimd() : prev_(internal::g_simd_level) {
-  internal::g_simd_level = SimdLevel::kScalar;
-}
-ScopedScalarSimd::~ScopedScalarSimd() { internal::g_simd_level = prev_; }
 
 namespace simd {
-namespace {
 
-// The scalar reference kernels. These ARE the semantics: the AVX2 bodies in
-// simd_avx2.cc emulate exactly this arithmetic mod 2^64 and the equivalence
-// suites (sketch_test, flat_table_test, digest lanes in simd_test) hold the
-// two to bit-identity.
-
-constexpr uint64_t kDigestSalt = 0x9e3779b97f4a7c15ull;
-
-void DigestBatch16Scalar(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t fnv = HashBytesUnmixed(keys + i * 16, 16);
-    h1[i] = Mix64(fnv);
-    h2[i] = Mix64(fnv ^ kDigestSalt) | 1;
-  }
-}
-
-void DigestGather16Scalar(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t fnv = HashBytesUnmixed(keys[i], 16);
-    h1[i] = Mix64(fnv);
-    h2[i] = Mix64(fnv ^ kDigestSalt) | 1;
-  }
-}
-
-void ProbeIndexBatchScalar(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                           uint32_t* idx) {
-  const uint64_t multiplier = (seed << 1) | 1;
-  for (size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<uint32_t>((digests[2 * i] + multiplier * digests[2 * i + 1]) & mask);
-  }
-}
-
-void GatherU16Scalar(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = row[idx[i]];
-  }
-}
-
-void GatherValueSlotsScalar(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(dsts[i], srcs[i], 16);
-  }
-}
-
-}  // namespace
-
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::DigestBatch16(keys, n, h1, h2);
-    return;
-  }
-#endif
-  DigestBatch16Scalar(keys, n, h1, h2);
-}
-
+// KeyDigest::Of's arithmetic (HashBytesUnmixed's FNV-1a, then the two
+// mixes); sketch_test holds it to KeyDigest::Of. The FNV loop is written
+// out for the fixed 16-byte key rather than calling HashBytesUnmixed: fully
+// unrolled, it lets the CPU overlap consecutive keys' serial multiply
+// chains, which the per-call byte loop does not.
 void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::DigestGather16(keys, n, h1, h2);
-    return;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t fnv = 0xcbf29ce484222325ull;
+    for (size_t b = 0; b < 16; ++b) {
+      fnv = (fnv ^ keys[i][b]) * 0x100000001b3ull;
+    }
+    h1[i] = Mix64(fnv);
+    h2[i] = Mix64(fnv ^ 0x9e3779b97f4a7c15ull) | 1;
   }
-#endif
-  DigestGather16Scalar(keys, n, h1, h2);
-}
-
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::ProbeIndexBatch(digests, n, seed, mask, idx);
-    return;
-  }
-#endif
-  ProbeIndexBatchScalar(digests, n, seed, mask, idx);
-}
-
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::GatherU16(row, idx, n, out);
-    return;
-  }
-#endif
-  GatherU16Scalar(row, idx, n, out);
-}
-
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::GatherValueSlots(srcs, dsts, n);
-    return;
-  }
-#endif
-  GatherValueSlotsScalar(srcs, dsts, n);
 }
 
 }  // namespace simd

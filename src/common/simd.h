@@ -1,25 +1,16 @@
-// Runtime-dispatched SIMD layer for the switch burst hot path.
+// Batch kernels for the switch burst hot path.
 //
 // The Tofino pipeline the paper models processes register arrays in hardware
-// parallel; the software switch gets the same stage-parallelism from SIMD
-// lanes. Everything vectorizable on the burst path funnels through the batch
-// kernels declared here — FNV/Mix64 digest lanes, Kirsch-Mitzenmacher probe
-// indices, Count-Min row gathers, and the 16-way control-byte group scan the
-// cache-lookup FlatTable probes with. Raw intrinsics are confined to
-// src/common/simd* (enforced by the `simd-intrinsics` lint rule); callers
-// only ever see these dispatched entry points.
+// parallel; the software switch keeps vector code only where it measured a
+// win. Two kernels live here: the batched FNV/Mix64 key digest (portable
+// code, exactly KeyDigest::Of's arithmetic) and the 16-way control-byte group
+// scan the cache-lookup FlatTable probes with (SSE2, baseline x86-64, or a
+// portable loop elsewhere). Raw intrinsics are confined to src/common/simd*
+// (enforced by the `simd-intrinsics` lint rule); callers only ever see the
+// entry points declared here.
 //
-// Dispatch model: one detection at first use picks the widest supported
-// level (AVX2 today; scalar otherwise). Every kernel has a portable scalar
-// fallback that is BIT-IDENTICAL to the vector path — same arithmetic mod
-// 2^64, same saturation, same probe order for every observable side effect —
-// so forcing scalar is purely a performance choice:
-//   - `NETCACHE_SIMD=OFF` in the environment, or
-//   - `--no-simd` on netcache_sim / any bench binary, or
-//   - building with `-DNETCACHE_SIMD=OFF`
-// all pin the scalar level. tests/determinism_test.cmake diffs a `--no-simd`
-// run against a native one byte-for-byte, and the sketch/table equivalence
-// suites compare both paths structure-by-structure.
+// There is no runtime dispatch: which body runs is fixed at compile time by
+// the target architecture, and every body produces the same result.
 
 #ifndef NETCACHE_COMMON_SIMD_H_
 #define NETCACHE_COMMON_SIMD_H_
@@ -33,89 +24,21 @@
 
 namespace netcache {
 
-enum class SimdLevel : uint8_t {
-  kScalar = 0,
-  kAvx2 = 1,
-};
-
-namespace internal {
-// The active level. Constant-initialized to kScalar and raised by a dynamic
-// initializer in simd.cc (cpu detection + NETCACHE_SIMD env var + build
-// option); a static constructor in another TU that runs kernels before that
-// initializer simply gets the scalar path, which is always safe. Exposed so
-// ActiveSimdLevel() inlines to a plain load — the table probe dispatch sits
-// on the per-lookup hot path and cannot afford a cross-TU call with a
-// static-init guard.
-extern SimdLevel g_simd_level;
-}  // namespace internal
-
-// The level selected at startup, possibly lowered later by
-// ForceScalarSimd/ScopedScalarSimd.
-inline SimdLevel ActiveSimdLevel() { return internal::g_simd_level; }
-
-// Lowers the active level to scalar for the rest of the process — the
-// `--no-simd` flag hook. (Raising above the detected level is impossible.)
-void ForceScalarSimd();
-
-// "avx2" | "scalar"; recorded in bench JSON and netcache_sim metrics config
-// so scripts/bench_regress.py can refuse cross-SIMD-level comparisons.
-const char* SimdLevelName(SimdLevel level);
-inline const char* ActiveSimdLevelName() { return SimdLevelName(ActiveSimdLevel()); }
-
-// Temporarily pins the scalar path (equivalence tests, scalar-vs-SIMD bench
-// trials). Not thread-safe: flip only while no other thread runs kernels —
-// benches and tests do this between single-threaded trials.
-class ScopedScalarSimd {
- public:
-  ScopedScalarSimd();
-  ~ScopedScalarSimd();
-  ScopedScalarSimd(const ScopedScalarSimd&) = delete;
-  ScopedScalarSimd& operator=(const ScopedScalarSimd&) = delete;
-
- private:
-  SimdLevel prev_;
-};
+// "sse2" on x86-64 builds (the group scan's vector body), "scalar"
+// elsewhere; recorded in bench JSON and netcache_sim metrics config so a
+// result names the build's vector level.
+const char* ActiveSimdLevelName();
 
 namespace simd {
 
-// ---- batch kernels (runtime-dispatched, scalar fallback bit-identical) ----
-
-// Digests `n` contiguous 16-byte keys: one FNV-1a accumulation per key, then
+// Digests `n` 16-byte keys gathered through a pointer array (keys[i] points
+// at one key): one FNV-1a accumulation per key, then
 //   h1[i] = Mix64(fnv_i)
 //   h2[i] = Mix64(fnv_i ^ 0x9e3779b97f4a7c15) | 1
-// exactly KeyDigest::Of's arithmetic (proto/key_digest.h), 4 keys per AVX2
-// pass. Declared on raw u64 arrays so the kernel layer stays below proto/.
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2);
-
-// DigestBatch16 with the keys gathered through a pointer array: keys[i]
-// points at one 16-byte key. The burst stage hands the kernel each packet's
-// in-place key bytes — the vector loads themselves do the gather, replacing
-// a per-packet 16-byte scratch copy with an 8-byte pointer push.
+// exactly KeyDigest::Of's arithmetic (proto/key_digest.h). The burst stage
+// hands the kernel each packet's in-place key bytes, so no key is copied.
+// Declared on raw u64 arrays so the kernel layer stays below proto/.
 void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2);
-
-// Kirsch-Mitzenmacher probe indices for a whole batch against one row/
-// partition: idx[i] = (h1_i + (2*seed+1)*h2_i) & mask. `digests` points at
-// n (h1, h2) u64 pairs — the in-memory layout of a KeyDigest array. `mask`
-// must fit 32 bits (sketch widths are at most 2^32 slots).
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx);
-
-// out[i] = row[idx[i]] for a u16 register row, AVX2 gather 8 lanes a pass.
-// The gather reads 32 bits at byte offset 2*idx[i], so the row must carry
-// ONE element of tail padding past the maximum index (CountMinSketch pads
-// its rows; see count_min.cc).
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out);
-
-// Streams one 16-byte value unit per pair: dsts[i][0..15] = srcs[i][0..15].
-// The burst serve stage resolves a whole Get run's bitmap-selected register
-// slots (dataplane/value_store.h) into these pointer pairs and moves every
-// value 16 bytes a lane instead of a per-packet stage loop. Both sides must
-// have 16 readable/writable bytes — callers copy WHOLE units; a value's tail
-// bytes past its exact size land in Value scratch that nothing observes
-// (Value::operator== and the wire codec stop at size()). Pairs may alias in
-// program order (dsts never overlap srcs in practice: register slots vs
-// packet value fields).
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n);
 
 // ---- 16-way control-byte group scan (inline; SSE2 is x86-64 baseline) ----
 

@@ -39,10 +39,6 @@ class ExactMatchTable {
   // Warms the home bucket for a later *WithHash lookup.
   void Prefetch(size_t h) const { entries_.PrefetchHash(h); }
 
-  // Pass-through to FlatTable::set_group_probe_min_load — equivalence tests
-  // pin 0 to force grouped-probe coverage at any fill.
-  void set_group_probe_min_load(unsigned pct) { entries_.set_group_probe_min_load(pct); }
-
   // Control-plane entry management (via the switch driver, §3).
   Status InsertEntry(const Key& key, Action action) {
     if (entries_.Contains(key)) {

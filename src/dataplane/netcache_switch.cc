@@ -202,9 +202,9 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
   // Stages are chosen by run length alone. The batch stages (stage 1's
   // digest gather, stage 2.5's cold-miss prefix) have a fixed setup cost a
   // lone packet never amortizes, so a run of one digests inline and leaves
-  // its statistics to stage 3. Both forms are byte-identical — the batched
+  // its statistics to stage 3. Both forms are byte-identical: the batched
   // ones are proven order-equivalent (common/simd.h, sketch/count_min.h,
-  // sketch/heavy_hitter.h) — and the simd:: kernels pick their own level.
+  // sketch/heavy_hitter.h).
   const bool batch = run.size() > 1;
 
   // Stage 1 (ingress hash + match dispatch): digest every key once and warm
@@ -268,7 +268,7 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
   // statistics were NOT pre-committed by stage 2.5; no handler can mutate
   // the lookup table before the prefix's stage-3 turns, so its stage-2
   // classification is final) — and assemble its hits' values with one
-  // simd::GatherValueSlots pass over the run's register slots.
+  // GatherValueSlots pass over the run's register slots.
   const size_t serve_end = BatchValueServeRun(run);
   // Report-safe prefix first: the table cannot change under these packets,
   // so the loop drops the re-peek branch, and stage 2.75 already served its
@@ -364,10 +364,10 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
   }
 }
 
-// Burst stage 1, SIMD leg: collect pointers at the keys still needing a
-// digest (the vector loads gather straight out of the packets), run the
-// FNV/Mix64 lanes, then scatter the results and warm the table in one merged
-// pass — batch_pos_ is ascending, so a single cursor re-pairs lanes with
+// Burst stage 1, batched leg: collect pointers at the keys still needing a
+// digest (the kernel reads them straight out of the packets), digest them in
+// one call, then scatter the results and warm the table in one merged
+// pass — batch_pos_ is ascending, so a single cursor re-pairs digests with
 // packets.
 __attribute__((noinline)) void NetCacheSwitch::BatchDigestRun(std::span<BurstArrival> run) {
   batch_key_ptrs_.clear();
@@ -422,7 +422,7 @@ __attribute__((noinline)) void NetCacheSwitch::BatchColdMissRun(std::span<BurstA
 // every prefix hit's units (stage 3 serves only the hits after it). The
 // staging books exactly the counted stage reads ReadValueInto would
 // (StageGather calls RegisterArray::Read per participating unit), then a
-// single simd::GatherValueSlots streams all units 16 bytes a lane.
+// single GatherValueSlots call copies all units, four in flight.
 // Whole-unit copies may write past value.size() inside the 128-byte buffer —
 // that tail is unobservable (Value::operator== and SerializePacket stop at
 // size).
@@ -452,7 +452,7 @@ __attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<Bu
     p.nc.value.set_size(size);
   }
   if (units != 0) {
-    simd::GatherValueSlots(srcs, dsts, units);
+    GatherValueSlots(srcs, dsts, units);
   }
   return serve_end;
 }

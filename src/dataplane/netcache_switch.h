@@ -308,7 +308,7 @@ class NetCacheSwitch : public Node {
   // whose statistics were NOT pre-committed by stage 2.5, i.e. the first
   // packet that could fire a hot-report handler and mutate the table — and
   // assembles the value of every valid hit before it straight into its
-  // packet via one simd::GatherValueSlots pass over the whole run's register
+  // packet via one GatherValueSlots pass over the whole run's register
   // slots. Returns the prefix end.
   size_t BatchValueServeRun(std::span<BurstArrival> run);
 
@@ -400,7 +400,7 @@ class NetCacheSwitch : public Node {
   // members so the steady state allocates nothing per packet or burst.
   NC_LP_OWNED std::vector<Emit> scratch_emits_;
   NC_LP_OWNED std::vector<StagedGet> staged_;
-  // SIMD burst scratch (stage-1 digest batching and the stage-2.5 cold-miss
+  // Burst scratch (stage-1 digest batching and the stage-2.5 cold-miss
   // batch), reserved once in the constructor: pointers at the packets'
   // in-place key bytes for simd::DigestGather16, the resulting (h1, h2)
   // lanes, the run positions they scatter back to, and the run's staged

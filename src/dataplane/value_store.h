@@ -56,7 +56,7 @@ class ValueStore {
   // (slot, dst + 16*k) pointer pair per participating unit — the lowest
   // ceil(size_bytes / 16) set bits of `bitmap`, ascending, exactly the units
   // ReadValueInto reads — at srcs/dsts[cursor...] for a later
-  // simd::GatherValueSlots pass over a whole burst; returns the advanced
+  // GatherValueSlots pass over a whole burst; returns the advanced
   // cursor. The caller sizes the arrays (≤ kMaxValueSize / 16 pairs per
   // call). Books the same per-stage counted reads as ReadValueInto. The
   // gather copies WHOLE 16-byte units, so `dst` must have
@@ -108,6 +108,15 @@ class ValueStore {
   size_t num_indexes_;
   std::vector<RegisterArray<ValueUnit>> stages_;
 };
+
+// Copies one whole 16-byte unit per StageGather pair: dsts[i][0..15] =
+// srcs[i][0..15]. The burst serve stage moves a whole Get run's values in one
+// call instead of a per-packet stage loop. Precondition: no dst range
+// overlaps any src range (register slots vs packet value fields). Both sides
+// must have 16 readable/writable bytes; a value's tail bytes past its exact
+// size land in Value scratch that nothing observes (Value::operator== and
+// the wire codec stop at size()).
+void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n);
 
 }  // namespace netcache
 

@@ -15,9 +15,9 @@
 //     key always lives in the contiguous occupied run starting at its home
 //     slot, so the scan stops at the first empty byte; candidates past it are
 //     masked off and tag false positives fall to the stored hash + key
-//     compare. The slot layout, placement, and iteration order are untouched
-//     — forcing the scalar level runs the original probe loop and both paths
-//     visit matching slots in the same order.
+//     compare. The slot layout, placement, and iteration order are untouched:
+//     the grouped scan and the slot-by-slot walk visit matching slots in the
+//     same order, and load alone picks between them (kGroupProbeMinLoadPct).
 
 #ifndef NETCACHE_KVSTORE_FLAT_TABLE_H_
 #define NETCACHE_KVSTORE_FLAT_TABLE_H_
@@ -141,14 +141,16 @@ class FlatTable {
     }
   }
 
-  // Minimum load (percent of capacity) below which Locate keeps the scalar
-  // walk even with SIMD available. The grouped scan touches one extra cache
-  // line per probe (the control bytes); robin-hood chains at light load
-  // average barely over one slot, so the scan only pays for itself once the
-  // table fills up and chains lengthen. Equivalence tests pin 0 to force
-  // group coverage at any fill; both paths visit matching slots in the same
-  // order, so the dispatch choice is never observable in results.
-  void set_group_probe_min_load(unsigned pct) { group_min_load_pct_ = pct; }
+  // Minimum load (percent of capacity) below which Locate keeps the
+  // slot-by-slot walk. The grouped scan touches one extra cache line per
+  // probe (the control bytes); robin-hood chains at light load average
+  // barely over one slot, so the scan only pays for itself once the table
+  // fills up and chains lengthen: at the 7/8 growth ceiling it wins, right
+  // after a doubling (7/16 load) the walk is faster. Both paths visit
+  // matching slots in the same order, so the choice is never observable in
+  // results. The threshold was measured with the SSE2 scan only; how the
+  // portable ScanGroup16 loop on non-SSE2 builds compares is unmeasured.
+  static constexpr unsigned kGroupProbeMinLoadPct = 62;
 
   // Longest probe sequence currently in the table (robin hood keeps this
   // small; tests assert it).
@@ -189,10 +191,7 @@ class FlatTable {
     }
   }
 
-  bool UseGroupProbe() const {
-    return ActiveSimdLevel() != SimdLevel::kScalar &&
-           size_ * 100 >= slots_.size() * group_min_load_pct_;
-  }
+  bool UseGroupProbe() const { return size_ * 100 >= slots_.size() * kGroupProbeMinLoadPct; }
 
   bool Locate(size_t h, const K& key, size_t* out) {
     if (UseGroupProbe()) {
@@ -311,10 +310,6 @@ class FlatTable {
   // plus kCtrlGroupWidth-1 mirrored leading bytes so group loads never wrap.
   std::vector<uint8_t> ctrl_;
   size_t size_ = 0;
-  // Default ~5/8: at the 7/8 growth ceiling chains are long enough for the
-  // 16-way scan to win; right after a doubling (7/16 load) the scalar walk
-  // is faster. See set_group_probe_min_load.
-  unsigned group_min_load_pct_ = 62;
 };
 
 }  // namespace netcache

@@ -217,7 +217,7 @@ class StorageServer : public Node {
   // reused every window so the steady-state receive path never allocates.
   NC_LP_OWNED std::vector<const uint8_t*> burst_key_ptrs_;  // keys needing a digest
   NC_LP_OWNED std::vector<uint32_t> burst_pos_;             // their arrival indices
-  NC_LP_OWNED std::vector<uint64_t> burst_dh1_, burst_dh2_; // SIMD digest lanes
+  NC_LP_OWNED std::vector<uint64_t> burst_dh1_, burst_dh2_; // batched digests
   NC_LP_OWNED std::vector<uint32_t> burst_core_;  // per-arrival core, kBurstNotData if non-data
   NC_LP_OWNED std::vector<uint64_t> burst_h1_;    // per-arrival key hash (data packets only)
 };

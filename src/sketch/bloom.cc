@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/simd.h"
 
 namespace netcache {
 
@@ -51,19 +50,11 @@ void BloomFilter::Insert(const KeyDigest& digest) {
 }
 
 void BloomFilter::TestAndSetBatch(const KeyDigest* digests, size_t n, bool* already) {
-  if (n == 0) {
-    return;
-  }
-  static_assert(sizeof(KeyDigest) == 2 * sizeof(uint64_t),
-                "KeyDigest must be a bare (h1, h2) pair for batch probing");
-  const uint64_t* raw = reinterpret_cast<const uint64_t*>(digests);
   std::fill(already, already + n, true);
-  scratch_idx_.resize(n);
   for (size_t p = 0; p < num_hashes_; ++p) {
-    simd::ProbeIndexBatch(raw, n, seeds_[p], mask_, scratch_idx_.data());
     std::vector<bool>& part = partitions_[p];
     for (size_t i = 0; i < n; ++i) {
-      std::vector<bool>::reference bit = part[scratch_idx_[i]];
+      std::vector<bool>::reference bit = part[BitIndex(p, digests[i])];
       if (!bit) {
         already[i] = false;
         bit = true;

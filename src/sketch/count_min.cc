@@ -6,17 +6,11 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/simd.h"
 
 namespace netcache {
 
 namespace {
 constexpr uint16_t kMaxCounter = std::numeric_limits<uint16_t>::max();
-
-// The batch kernels view a KeyDigest array as interleaved (h1, h2) u64
-// pairs; pin the layout that view depends on.
-static_assert(sizeof(KeyDigest) == 2 * sizeof(uint64_t),
-              "KeyDigest must be a bare (h1, h2) pair for batch probing");
 }  // namespace
 
 CountMinSketch::CountMinSketch(size_t depth, size_t width, uint64_t seed)
@@ -27,8 +21,7 @@ CountMinSketch::CountMinSketch(size_t depth, size_t width, uint64_t seed)
   rows_.reserve(depth);
   for (size_t d = 0; d < depth; ++d) {
     row_seeds_.push_back(SplitMix64(sm));
-    // width_ + 1: one u16 of tail padding for the AVX2 gather (simd.h).
-    rows_.emplace_back(width_ + 1, 0);
+    rows_.emplace_back(width_, 0);
   }
 }
 
@@ -65,16 +58,10 @@ uint32_t CountMinSketch::Estimate(const KeyDigest& digest) const {
 }
 
 void CountMinSketch::UpdateBatch(const KeyDigest* digests, size_t n, uint32_t* min_out) {
-  if (n == 0) {
-    return;
-  }
-  const uint64_t* raw = reinterpret_cast<const uint64_t*>(digests);
-  scratch_idx_.resize(n);
   for (size_t d = 0; d < depth_; ++d) {
-    simd::ProbeIndexBatch(raw, n, row_seeds_[d], mask_, scratch_idx_.data());
     uint16_t* row = rows_[d].data();
     for (size_t i = 0; i < n; ++i) {
-      uint16_t& slot = row[scratch_idx_[i]];
+      uint16_t& slot = row[RowIndex(d, digests[i])];
       if (slot < kMaxCounter) {
         ++slot;
       }
@@ -86,17 +73,11 @@ void CountMinSketch::UpdateBatch(const KeyDigest* digests, size_t n, uint32_t* m
 }
 
 void CountMinSketch::EstimateBatch(const KeyDigest* digests, size_t n, uint32_t* out) const {
-  if (n == 0) {
-    return;
-  }
-  const uint64_t* raw = reinterpret_cast<const uint64_t*>(digests);
-  scratch_idx_.resize(n);
-  scratch_val_.resize(n);
   for (size_t d = 0; d < depth_; ++d) {
-    simd::ProbeIndexBatch(raw, n, row_seeds_[d], mask_, scratch_idx_.data());
-    simd::GatherU16(rows_[d].data(), scratch_idx_.data(), n, scratch_val_.data());
+    const uint16_t* row = rows_[d].data();
     for (size_t i = 0; i < n; ++i) {
-      out[i] = d == 0 ? scratch_val_[i] : std::min<uint32_t>(out[i], scratch_val_[i]);
+      uint16_t v = row[RowIndex(d, digests[i])];
+      out[i] = d == 0 ? v : std::min<uint32_t>(out[i], v);
     }
   }
 }

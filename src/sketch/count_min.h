@@ -51,10 +51,10 @@ class CountMinSketch {
   // Batched forms over a burst's digests, bit-identical to calling the
   // per-digest member on digests[0..n) in order (duplicates included: packet
   // i's post-update value in every row sees exactly the increments from
-  // packets 0..i). UpdateBatch walks row-major — probe indices for a whole
-  // row come from one simd::ProbeIndexBatch call — which commutes with the
-  // packet-major scalar order because rows are independent and the in-row
-  // packet order is preserved. min_out/out may be null to discard estimates.
+  // packets 0..i). Both walk row-major — one register array at a time, as
+  // the pipeline stages do — which commutes with the packet-major scalar
+  // order because rows are independent and the in-row packet order is
+  // preserved. min_out may be null to discard estimates.
   void UpdateBatch(const KeyDigest* digests, size_t n, uint32_t* min_out);
   void EstimateBatch(const KeyDigest* digests, size_t n, uint32_t* out) const;
   // Conservative update has a cross-row dependency per packet (the estimate
@@ -87,13 +87,7 @@ class CountMinSketch {
   size_t width_;
   size_t mask_;
   std::vector<uint64_t> row_seeds_;
-  // Each row carries ONE u16 of tail padding (allocated width_ + 1) so the
-  // AVX2 32-bit gather in EstimateBatch stays in bounds at the last index.
   std::vector<std::vector<uint16_t>> rows_;
-  // Per-batch scratch, sized once per sketch; keeps the burst path
-  // allocation-free after warm-up.
-  mutable std::vector<uint32_t> scratch_idx_;
-  mutable std::vector<uint16_t> scratch_val_;
 };
 
 }  // namespace netcache

@@ -24,10 +24,6 @@
 #    (--lp-checks) and asserts the metrics JSON matches run 3's — the
 #    common/lp_ownership.h contract that the sanitizer observes, never
 #    perturbs.
-# 5. Runs the rack once with --no-simd and asserts the metrics JSON matches
-#    run 1's after stripping the config's "simd_level" field (the one
-#    intended difference) — the common/simd.h contract that the vectorized
-#    burst kernels are bit-identical to the scalar path.
 
 # 8 servers so the --sim-threads=8 leg gets 8 real workers (the simulator
 # clamps workers to the LP count, and a clamp surfaces as
@@ -167,39 +163,4 @@ if(NOT diff_rc EQUAL 0)
       "--lp-checks changed the metrics JSON: the ownership sanitizer must "
       "observe, never perturb "
       "(${WORK_DIR}/determinism_simthreads_8.json vs determinism_lpchecks.json)")
-endif()
-
-# SIMD vs scalar burst kernels (--no-simd, common/simd.h): the vectorized
-# digest/sketch/table probes must be bit-identical to the scalar path, so a
-# forced-scalar run matches the default run from step 1 byte-for-byte — except
-# for the config's "simd_level" field, which exists precisely to record which
-# path ran. Strip that one field from both documents before comparing. (On a
-# host without AVX2 both runs are scalar and the leg is a tautology; on CI's
-# AVX2 runners it proves the equivalence end to end.)
-execute_process(
-  COMMAND ${SIM} ${FLAGS} --no-simd
-          --metrics-out=${WORK_DIR}/determinism_nosimd.json
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--no-simd run exited ${rc}:\n${out}\n${err}")
-endif()
-
-foreach(doc a nosimd)
-  file(READ ${WORK_DIR}/determinism_${doc}.json contents)
-  string(REGEX REPLACE ",\"simd_level\":\"[a-z0-9]+\"" "" contents "${contents}")
-  file(WRITE ${WORK_DIR}/determinism_${doc}_nolevel.json "${contents}")
-endforeach()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/determinism_a_nolevel.json
-          ${WORK_DIR}/determinism_nosimd_nolevel.json
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-      "--no-simd changed the metrics JSON beyond config.simd_level: the "
-      "vectorized burst kernels must be bit-identical to the scalar path "
-      "(${WORK_DIR}/determinism_a_nolevel.json vs determinism_nosimd_nolevel.json)")
 endif()

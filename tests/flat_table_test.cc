@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "kvstore/flat_table.h"
 #include "kvstore/hash_table.h"
 #include "proto/key.h"
@@ -136,13 +135,19 @@ TEST_P(FlatTablePropertyTest, MatchesReferenceUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatTablePropertyTest, ::testing::Values(1, 2, 3, 4));
 
-// ------------------------------------------------- group-probe equivalence
+// ------------------------------------------------- grouped and walked probes
 //
-// The 16-way control-byte group scan (common/simd.h) dispatches at call time,
-// so the SAME table can be probed through the grouped path (native level) and
-// the original scalar loop (ScopedScalarSimd). Both must land on the same
-// slot — the tests compare the returned value pointers, which encode slot
-// identity exactly.
+// Locate takes the 16-way control-byte group scan (common/simd.h) at or above
+// kGroupProbeMinLoadPct load and the slot-by-slot walk below it. The tests
+// reach each path by fill level alone, assert which regime the table is in,
+// and check every probe against a reference.
+
+constexpr unsigned kGroupPct = FlatTable<int, int>::kGroupProbeMinLoadPct;
+
+template <typename Table>
+bool Grouped(const Table& t) {
+  return t.size() * 100 >= t.capacity() * kGroupPct;
+}
 
 // Identity hash pins home slots so tests can build adversarial layouts
 // (wrap-around clusters) deterministically.
@@ -150,50 +155,45 @@ struct IdentityHash {
   size_t operator()(uint64_t v) const { return static_cast<size_t>(v); }
 };
 
-// Probes `t` for `key` through both dispatch paths and asserts they agree;
-// returns the (common) result.
-template <typename Table, typename KeyT>
-auto* FindBothPaths(Table& t, const KeyT& key) {
-  auto* grouped = t.Find(key);
-  ScopedScalarSimd scalar;
-  auto* legacy = t.Find(key);
-  EXPECT_EQ(grouped, legacy);
-  return grouped;
-}
-
 TEST(FlatTableGroupProbeTest, WrapAroundClusterFound) {
   FlatTable<uint64_t, int, IdentityHash> t;
-  t.set_group_probe_min_load(0);  // cover the grouped path at any fill
-  // Capacity starts at 16; keep load below growth (14 slots max). Build a
-  // probe cluster that starts near the top and wraps: homes 13, 14, 15 plus
-  // colliders that spill across the wrap point.
-  std::vector<uint64_t> keys = {13, 14, 15, 15 + 16, 15 + 32, 14 + 16};
+  // Capacity starts at 16 and grows past 14 entries. 13 keys (81% load)
+  // build one probe cluster from home 10 that wraps past slot 15 into slots
+  // 0..6, so group scans starting at 13..15 read across the mirrored wrap.
+  std::vector<uint64_t> keys = {10, 11, 12, 13, 14, 15, 15 + 16, 15 + 32, 15 + 48,
+                                14 + 16, 14 + 32, 13 + 16, 12 + 16};
   for (uint64_t k : keys) {
     t.Upsert(k, static_cast<int>(k));
   }
   ASSERT_EQ(t.capacity(), 16u);
+  ASSERT_TRUE(Grouped(t));
   for (uint64_t k : keys) {
-    auto* v = FindBothPaths(t, k);
+    auto* v = t.Find(k);
     ASSERT_NE(v, nullptr) << k;
     EXPECT_EQ(*v, static_cast<int>(k));
   }
-  // Absent keys that hash into the cluster: both paths must agree on miss.
-  for (uint64_t k : {uint64_t{13 + 16}, uint64_t{15 + 48}, uint64_t{12}}) {
-    EXPECT_EQ(FindBothPaths(t, k), nullptr) << k;
+  // Absent keys homed inside the cluster (on both sides of the wrap) and
+  // just before it: every scan must stop at the cluster's end.
+  for (uint64_t k : {uint64_t{13 + 32}, uint64_t{15 + 64}, uint64_t{2 + 16}, uint64_t{9}}) {
+    EXPECT_EQ(t.Find(k), nullptr) << k;
   }
 }
 
-TEST(FlatTableGroupProbeTest, DeletionChurnKeepsPathsEquivalent) {
+TEST(FlatTableGroupProbeTest, DeletionChurnMatchesReference) {
   FlatTable<uint64_t, uint64_t, IdentityHash> t;
-  t.set_group_probe_min_load(0);  // cover the grouped path at any fill
   Rng rng(0xc4u);
   std::unordered_map<uint64_t, uint64_t> ref;
   // Heavy insert/erase churn exercises backward-shift deletion's control-byte
   // maintenance; identity hashing over a narrow keyspace makes dense probe
-  // clusters the 16-byte groups must scan across.
+  // clusters the 16-byte groups must scan across. An insert-heavy phase
+  // fills the table past the grouped threshold, an erase-heavy one drains
+  // it below, so the checks cover both paths.
+  size_t grouped_checks = 0;
+  size_t walked_checks = 0;
   for (int op = 0; op < 60000; ++op) {
     uint64_t k = rng.NextBounded(512);
-    if (rng.NextBounded(3) == 0) {
+    const uint64_t erase_in = op < 30000 ? 5 : 2;  // erase 1/5, then 1/2
+    if (rng.NextBounded(erase_in) == 0) {
       EXPECT_EQ(t.Erase(k), ref.erase(k) > 0) << "op " << op;
     } else {
       uint64_t v = rng.Next();
@@ -201,8 +201,9 @@ TEST(FlatTableGroupProbeTest, DeletionChurnKeepsPathsEquivalent) {
       ref[k] = v;
     }
     if (op % 997 == 0) {
+      ++(Grouped(t) ? grouped_checks : walked_checks);
       for (uint64_t probe = 0; probe < 512; ++probe) {
-        auto* v = FindBothPaths(t, probe);
+        auto* v = t.Find(probe);
         auto it = ref.find(probe);
         if (it == ref.end()) {
           ASSERT_EQ(v, nullptr) << "op " << op << " key " << probe;
@@ -213,39 +214,47 @@ TEST(FlatTableGroupProbeTest, DeletionChurnKeepsPathsEquivalent) {
       }
     }
   }
+  EXPECT_GT(grouped_checks, 0u);
+  EXPECT_GT(walked_checks, 0u);
 }
 
 TEST(FlatTableGroupProbeTest, NearFullTableFound) {
   // Fill right up to the 7/8 growth threshold so group scans cross long
   // occupied runs with only a few empties to terminate on.
   FlatTable<uint64_t, int, IdentityHash> t;
-  t.set_group_probe_min_load(0);  // cover the grouped path at any fill
   uint64_t k = 0;
   while ((t.size() + 1) * 8 <= t.capacity() * 7) {
     t.Upsert(k * 7919, static_cast<int>(k));  // spread homes via odd stride
     ++k;
   }
+  ASSERT_TRUE(Grouped(t));
   for (uint64_t i = 0; i < k; ++i) {
-    auto* v = FindBothPaths(t, i * 7919);
+    auto* v = t.Find(i * 7919);
     ASSERT_NE(v, nullptr) << i;
     EXPECT_EQ(*v, static_cast<int>(i));
   }
-  EXPECT_EQ(FindBothPaths(t, k * 7919 + 1), nullptr);
+  EXPECT_EQ(t.Find(k * 7919 + 1), nullptr);
 }
 
-TEST(FlatTableGroupProbeTest, KeyHashedTableAgreesAfterGrowth) {
+// 20000 keys sit just below the threshold of the 32768-slot table (61%) and
+// take the walk; 21000 (64%) take the grouped scan. Both must find every
+// present key and miss every absent one.
+TEST(FlatTableGroupProbeTest, KeyHashedTableFoundOnBothSidesOfThreshold) {
   FlatTable<Key, uint64_t, KeyHasher> t;
-  t.set_group_probe_min_load(0);  // cover the grouped path at any fill
-  for (uint64_t i = 0; i < 20000; ++i) {
-    t.Upsert(Key::FromUint64(i), i);
-  }
-  for (uint64_t i = 0; i < 25000; ++i) {
-    auto* v = FindBothPaths(t, Key::FromUint64(i));
-    if (i < 20000) {
-      ASSERT_NE(v, nullptr) << i;
-      ASSERT_EQ(*v, i);
-    } else {
-      ASSERT_EQ(v, nullptr) << i;
+  for (uint64_t fill : {20000u, 21000u}) {
+    for (uint64_t i = t.size(); i < fill; ++i) {
+      t.Upsert(Key::FromUint64(i), i);
+    }
+    ASSERT_EQ(t.capacity(), 32768u);
+    ASSERT_EQ(Grouped(t), fill == 21000u);
+    for (uint64_t i = 0; i < fill + 5000; ++i) {
+      auto* v = t.Find(Key::FromUint64(i));
+      if (i < fill) {
+        ASSERT_NE(v, nullptr) << i;
+        ASSERT_EQ(*v, i);
+      } else {
+        ASSERT_EQ(v, nullptr) << i;
+      }
     }
   }
 }

@@ -1,8 +1,7 @@
-// Fixture: fast-path code using the dispatched SIMD layer (simd-intrinsics
-// compliant twin) — kernels come from common/simd.h, no raw intrinsics.
+// Fixture: fast-path code using the SIMD layer (simd-intrinsics compliant
+// twin) — kernels come from common/simd.h, no raw intrinsics.
 namespace netcache {
-void EstimateAll(const KeyDigest* digests, size_t n, uint32_t* out) {
-  simd::ProbeIndexBatch(reinterpret_cast<const uint64_t*>(digests), n, 0,
-                        1023, scratch);
+void DigestAll(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
+  simd::DigestGather16(keys, n, h1, h2);
 }
 }  // namespace netcache

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "dataplane/match_table.h"
 
 namespace netcache {
@@ -67,14 +66,16 @@ TEST(MatchTableTest, ForEachEntryVisitsAll) {
   EXPECT_EQ(sum, 10);
 }
 
-// The match table's FlatTable substrate dispatches between the grouped
-// control-byte probe and the scalar loop at call time (common/simd.h), so
-// the same table can be queried through both and must return the same entry
-// pointer — including through insert/remove churn (backward-shift deletion)
-// and the burst path's hash-carrying peek.
-TEST(MatchTableGroupProbeTest, PeekAgreesAcrossDispatchPathsUnderChurn) {
+// The match table's FlatTable substrate probes with the grouped control-byte
+// scan once it is at least 62% full and walks slot by slot below that
+// (FlatTable::kGroupProbeMinLoadPct). Every lookup is checked against a
+// reference, through insert/remove churn (backward-shift deletion) and the
+// burst path's hash-carrying peek.
+
+// 2048 ids, 3/4 inserts: the table climbs from empty through the walked
+// regime and settles near 1536 entries in 2048 slots (75%, grouped).
+TEST(MatchTableGroupProbeTest, PeekMatchesReferenceUnderChurn) {
   ExactMatchTable<TestAction> t(4096);
-  t.set_group_probe_min_load(0);  // cover the grouped path at any fill
   Rng rng(0x6e);
   std::vector<bool> present(2048, false);
   for (int op = 0; op < 30000; ++op) {
@@ -90,38 +91,35 @@ TEST(MatchTableGroupProbeTest, PeekAgreesAcrossDispatchPathsUnderChurn) {
     if (op % 499 == 0) {
       for (uint64_t probe = 0; probe < 2048; ++probe) {
         Key k = K(probe);
-        size_t h = KeyHasher()(k);
-        const TestAction* grouped = t.PeekWithHash(k, h);
-        const TestAction* legacy;
-        {
-          ScopedScalarSimd scalar;
-          legacy = t.PeekWithHash(k, h);
-        }
-        ASSERT_EQ(grouped, legacy) << "op " << op << " key " << probe;
-        ASSERT_EQ(grouped != nullptr, static_cast<bool>(present[probe]))
+        const TestAction* a = t.PeekWithHash(k, KeyHasher()(k));
+        ASSERT_EQ(a != nullptr, static_cast<bool>(present[probe]))
             << "op " << op << " key " << probe;
+        if (a != nullptr) {
+          ASSERT_EQ(a->port, static_cast<int>(probe));
+        }
       }
     }
   }
 }
 
-TEST(MatchTableGroupProbeTest, FullTableAgreesAcrossDispatchPaths) {
-  constexpr size_t kCapacity = 4096;
+// Fills a 5200-entry table and checks every lookup at three fill levels:
+// 3000 entries (4096 slots, 73%: grouped), 4096 (8192 slots, 50%: walked)
+// and 5200 (8192 slots, 63%: grouped).
+TEST(MatchTableGroupProbeTest, MatchFoundAtEveryFillLevel) {
+  constexpr size_t kCapacity = 5200;
   ExactMatchTable<TestAction> t(kCapacity);
-  t.set_group_probe_min_load(0);  // cover the grouped path at any fill
-  for (uint64_t i = 0; i < kCapacity; ++i) {
-    ASSERT_TRUE(t.InsertEntry(K(i), TestAction{static_cast<int>(i)}).ok()) << i;
-  }
-  ASSERT_EQ(t.size(), kCapacity);
-  for (uint64_t i = 0; i < kCapacity + 512; ++i) {
-    const TestAction* grouped = t.Match(K(i));
-    const TestAction* legacy;
-    {
-      ScopedScalarSimd scalar;
-      legacy = t.Match(K(i));
+  for (size_t fill : {3000u, 4096u, 5200u}) {
+    for (uint64_t i = t.size(); i < fill; ++i) {
+      ASSERT_TRUE(t.InsertEntry(K(i), TestAction{static_cast<int>(i)}).ok()) << i;
     }
-    ASSERT_EQ(grouped, legacy) << i;
-    ASSERT_EQ(grouped != nullptr, i < kCapacity) << i;
+    ASSERT_EQ(t.size(), fill);
+    for (uint64_t i = 0; i < fill + 512; ++i) {
+      const TestAction* a = t.Match(K(i));
+      ASSERT_EQ(a != nullptr, i < fill) << "fill " << fill << " key " << i;
+      if (a != nullptr) {
+        ASSERT_EQ(a->port, static_cast<int>(i));
+      }
+    }
   }
 }
 

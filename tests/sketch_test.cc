@@ -261,14 +261,12 @@ TEST(HeavyHitterTest, ThresholdTunableAtRuntime) {
   EXPECT_TRUE(hh.Offer(K(2)));  // now above threshold -> first report
 }
 
-// --------------------------------------------- scalar/SIMD bit-equivalence
+// ------------------------------------------------ batch bit-equivalence
 //
-// The batched kernels (common/simd.h) must reproduce the per-digest scalar
-// sequence bit-for-bit. Each test runs the batched form at the process's
-// native dispatch level against a reference driven per-digest under
-// ScopedScalarSimd; on an AVX2 host this pits the vector kernels directly
-// against the scalar loop (on a non-AVX2 host both sides are scalar and the
-// test still pins the batch-vs-sequential order equivalence).
+// The batched forms the burst pipeline uses must reproduce the per-digest
+// sequence bit-for-bit. Each test runs the batched form against a reference
+// driven one digest at a time; the batched digest kernel (common/simd.h) is
+// held to KeyDigest::Of.
 
 // 1e5 random digests over a keyspace small enough to force collisions,
 // duplicates, and growing counters.
@@ -282,28 +280,9 @@ std::vector<KeyDigest> RandomDigests(size_t n, uint64_t seed, uint64_t keyspace)
   return digests;
 }
 
-TEST(SimdEquivalenceTest, DigestBatchMatchesKeyDigestOf) {
-  Rng rng(0xd16e57);
-  constexpr size_t kKeys = 1001;  // odd count exercises the vector tail
-  std::vector<uint8_t> bytes(kKeys * kKeySize);
-  for (auto& b : bytes) {
-    b = static_cast<uint8_t>(rng.Next());
-  }
-  std::vector<uint64_t> h1(kKeys), h2(kKeys);
-  simd::DigestBatch16(bytes.data(), kKeys, h1.data(), h2.data());
-  for (size_t i = 0; i < kKeys; ++i) {
-    Key k;
-    std::copy(bytes.begin() + i * kKeySize, bytes.begin() + (i + 1) * kKeySize,
-              k.bytes.begin());
-    KeyDigest want = KeyDigest::Of(k);
-    ASSERT_EQ(h1[i], want.h1) << i;
-    ASSERT_EQ(h2[i], want.h2) << i;
-  }
-}
-
-TEST(SimdEquivalenceTest, DigestGatherMatchesKeyDigestOf) {
+TEST(BatchEquivalenceTest, DigestGatherMatchesKeyDigestOf) {
   Rng rng(0xd16e58);
-  constexpr size_t kKeys = 997;  // non-multiple of 16 exercises both tails
+  constexpr size_t kKeys = 997;
   std::vector<Key> keys(kKeys);
   for (auto& k : keys) {
     for (auto& b : k.bytes) {
@@ -324,7 +303,7 @@ TEST(SimdEquivalenceTest, DigestGatherMatchesKeyDigestOf) {
   }
 }
 
-TEST(SimdEquivalenceTest, CountMinUpdateBatchMatchesScalarSequence) {
+TEST(BatchEquivalenceTest, CountMinUpdateBatchMatchesScalarSequence) {
   constexpr size_t kN = 100000;
   std::vector<KeyDigest> digests = RandomDigests(kN, 0x5eed, 5000);
   CountMinSketch batched(4, 4096, 9);
@@ -336,11 +315,8 @@ TEST(SimdEquivalenceTest, CountMinUpdateBatchMatchesScalarSequence) {
     size_t n = std::min(kBurst, kN - i);
     batched.UpdateBatch(digests.data() + i, n, batch_min.data() + i);
   }
-  {
-    ScopedScalarSimd scalar;
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(batch_min[i], reference.Update(digests[i])) << i;
-    }
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(batch_min[i], reference.Update(digests[i])) << i;
   }
   for (uint64_t k = 0; k < 5000; ++k) {
     KeyDigest d = KeyDigest::Of(K(k));
@@ -348,7 +324,7 @@ TEST(SimdEquivalenceTest, CountMinUpdateBatchMatchesScalarSequence) {
   }
 }
 
-TEST(SimdEquivalenceTest, CountMinEstimateBatchMatchesScalar) {
+TEST(BatchEquivalenceTest, CountMinEstimateBatchMatchesScalar) {
   constexpr size_t kN = 100000;
   std::vector<KeyDigest> digests = RandomDigests(kN, 0xe571, 3000);
   CountMinSketch cms(4, 2048, 11);
@@ -356,13 +332,12 @@ TEST(SimdEquivalenceTest, CountMinEstimateBatchMatchesScalar) {
 
   std::vector<uint32_t> batch_est(kN);
   cms.EstimateBatch(digests.data(), kN, batch_est.data());
-  ScopedScalarSimd scalar;
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(batch_est[i], cms.Estimate(digests[i])) << i;
   }
 }
 
-TEST(SimdEquivalenceTest, CountMinConservativeBatchMatchesScalarSequence) {
+TEST(BatchEquivalenceTest, CountMinConservativeBatchMatchesScalarSequence) {
   constexpr size_t kN = 100000;
   std::vector<KeyDigest> digests = RandomDigests(kN, 0xc0145, 4000);
   CountMinSketch batched(4, 2048, 13);
@@ -370,11 +345,8 @@ TEST(SimdEquivalenceTest, CountMinConservativeBatchMatchesScalarSequence) {
 
   std::vector<uint32_t> batch_out(kN);
   batched.UpdateConservativeBatch(digests.data(), kN, batch_out.data());
-  {
-    ScopedScalarSimd scalar;
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(batch_out[i], reference.UpdateConservative(digests[i])) << i;
-    }
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(batch_out[i], reference.UpdateConservative(digests[i])) << i;
   }
   for (uint64_t k = 0; k < 4000; ++k) {
     KeyDigest d = KeyDigest::Of(K(k));
@@ -382,7 +354,7 @@ TEST(SimdEquivalenceTest, CountMinConservativeBatchMatchesScalarSequence) {
   }
 }
 
-TEST(SimdEquivalenceTest, CountMinBatchSaturatesExactlyLikeScalar) {
+TEST(BatchEquivalenceTest, CountMinBatchSaturatesExactlyLikeScalar) {
   // Drive one digest across the 16-bit saturation boundary in batches and
   // per-update: both must pin at 0xffff, never wrap.
   CountMinSketch batched(2, 64, 3);
@@ -396,18 +368,15 @@ TEST(SimdEquivalenceTest, CountMinBatchSaturatesExactlyLikeScalar) {
     last_batch = batch_min.back();
   }
   uint32_t last_scalar = 0;
-  {
-    ScopedScalarSimd scalar;
-    for (int i = 0; i < 70000; ++i) {
-      last_scalar = reference.Update(d);
-    }
+  for (int i = 0; i < 70000; ++i) {
+    last_scalar = reference.Update(d);
   }
   EXPECT_EQ(last_batch, 0xffffu);
   EXPECT_EQ(last_batch, last_scalar);
   EXPECT_EQ(batched.Estimate(d), reference.Estimate(d));
 }
 
-TEST(SimdEquivalenceTest, BloomTestAndSetBatchMatchesScalarSequence) {
+TEST(BatchEquivalenceTest, BloomTestAndSetBatchMatchesScalarSequence) {
   constexpr size_t kN = 100000;
   std::vector<KeyDigest> digests = RandomDigests(kN, 0xb100, 20000);
   BloomFilter batched(3, 4096, 17);
@@ -424,13 +393,12 @@ TEST(SimdEquivalenceTest, BloomTestAndSetBatchMatchesScalarSequence) {
       already[i + j] = out[j];
     }
   }
-  ScopedScalarSimd scalar;
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(already[i], reference.TestAndSet(digests[i])) << i;
   }
 }
 
-TEST(SimdEquivalenceTest, ColdPrefixCommitsOnlyProvablyColdMisses) {
+TEST(BatchEquivalenceTest, ColdPrefixCommitsOnlyProvablyColdMisses) {
   HeavyHitterConfig config = SmallHH(8);  // threshold 8
   HeavyHitterDetector batched(config);
   HeavyHitterDetector reference(config);
@@ -451,11 +419,8 @@ TEST(SimdEquivalenceTest, ColdPrefixCommitsOnlyProvablyColdMisses) {
   }
   EXPECT_EQ(batched.OfferBatchColdPrefix(key_ptrs.data(), digests.data(), digests.size()),
             digests.size());
-  {
-    ScopedScalarSimd scalar;
-    for (const Key& k : keys) {
-      EXPECT_FALSE(reference.Offer(k));
-    }
+  for (const Key& k : keys) {
+    EXPECT_FALSE(reference.Offer(k));
   }
   for (const Key& k : keys) {
     EXPECT_EQ(batched.Estimate(k), reference.Estimate(k));
@@ -474,7 +439,7 @@ TEST(SimdEquivalenceTest, ColdPrefixCommitsOnlyProvablyColdMisses) {
   EXPECT_TRUE(batched.Offer(warm[0]));  // 8th offer crosses the threshold
 }
 
-TEST(SimdEquivalenceTest, ColdPrefixRefusesToBatchWhenSampling) {
+TEST(BatchEquivalenceTest, ColdPrefixRefusesToBatchWhenSampling) {
   HeavyHitterConfig config = SmallHH(8);
   config.sample_rate = 0.5;  // per-offer RNG draws: batching must bail
   HeavyHitterDetector hh(config);

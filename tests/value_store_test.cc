@@ -4,11 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "dataplane/register_array.h"
 #include "dataplane/value_store.h"
 
@@ -117,14 +115,12 @@ TEST(ValueStoreDeathTest, ValueTooLargeForBitmap) {
   EXPECT_DEATH(vs.WriteValue(0b1, 0, big), "does not fit");
 }
 
-// ---- StageGather + simd::GatherValueSlots (the burst serve kernel) ----
+// ---- StageGather + GatherValueSlots (the burst serve kernel) ----
 
 // Every 8-stage bitmap shape (contiguous, sparse, high-only), slot counts
 // 1..8, and ragged sizes that leave tail bytes in the last unit: the gather
-// must reconstruct exactly what ReadValue returns, and the scalar kernel must
-// be bit-identical to the native (possibly AVX2) one — including the
-// whole-unit scratch bytes past the value's exact size.
-TEST(GatherValueSlotsTest, ScalarMatchesNativeAllBitmapShapes) {
+// must reconstruct exactly what ReadValue returns.
+TEST(GatherValueSlotsTest, MatchesReadValueAllBitmapShapes) {
   ValueStore vs(8, 4);
   for (uint32_t bitmap = 1; bitmap < 256; ++bitmap) {
     size_t units = static_cast<size_t>(std::popcount(bitmap));
@@ -137,32 +133,59 @@ TEST(GatherValueSlotsTest, ScalarMatchesNativeAllBitmapShapes) {
 
       const uint8_t* srcs[8];
       uint8_t* dsts[8];
-      Value native;
-      native.set_size(size);
-      size_t n = vs.StageGather(bitmap, 1, size, native.data(), srcs, dsts, 0);
+      Value got;
+      got.set_size(size);
+      size_t n = vs.StageGather(bitmap, 1, size, got.data(), srcs, dsts, 0);
       ASSERT_EQ(n, units);
-      simd::GatherValueSlots(srcs, dsts, n);
+      GatherValueSlots(srcs, dsts, n);
+      EXPECT_EQ(got, vs.ReadValue(bitmap, 1, size)) << "bitmap=" << bitmap << " size=" << size;
+    }
+  }
+}
 
-      Value scalar;
-      scalar.set_size(size);
-      {
-        ScopedScalarSimd force_scalar;
-        size_t m = vs.StageGather(bitmap, 1, size, scalar.data(), srcs, dsts, 0);
-        ASSERT_EQ(m, units);
-        simd::GatherValueSlots(srcs, dsts, m);
-      }
-
-      EXPECT_EQ(native, v);  // gather == ReadValue semantics
-      // Bit-identical including the unobservable whole-unit tail.
-      EXPECT_EQ(std::memcmp(native.data(), scalar.data(), units * kValueUnitSize), 0)
-          << "bitmap=" << bitmap << " size=" << size;
+// Gather counts 0..9 cover the empty call, the one-at-a-time tail alone
+// (1..3), one and two four-deep passes, and a pass plus every tail length.
+// Each count gathers single-unit values spread over all stages; every value
+// must equal ReadValue and the staging must book the same per-stage reads a
+// ReadValueInto per value does.
+TEST(GatherValueSlotsTest, EveryGatherCountMatchesPerStageReads) {
+  constexpr size_t kStages = 8;
+  for (size_t count = 0; count <= 9; ++count) {
+    ValueStore gathered(kStages, 16);
+    ValueStore reference(kStages, 16);
+    std::vector<Value> want(count);
+    for (size_t i = 0; i < count; ++i) {
+      want[i] = Value::Filler(0xc0de + count * 31 + i, kValueUnitSize - (i % 3));
+      gathered.WriteValue(1u << (i % kStages), i, want[i]);
+      reference.WriteValue(1u << (i % kStages), i, want[i]);
+    }
+    const uint8_t* srcs[9];
+    uint8_t* dsts[9];
+    std::vector<Value> got(count);
+    size_t cursor = 0;
+    for (size_t i = 0; i < count; ++i) {
+      got[i].set_size(want[i].size());
+      cursor = gathered.StageGather(1u << (i % kStages), i, want[i].size(), got[i].data(), srcs,
+                                    dsts, cursor);
+    }
+    ASSERT_EQ(cursor, count);
+    GatherValueSlots(srcs, dsts, cursor);
+    for (size_t i = 0; i < count; ++i) {
+      Value read;
+      reference.ReadValueInto(1u << (i % kStages), i, want[i].size(), &read);
+      EXPECT_EQ(got[i], want[i]) << "count " << count << " value " << i;
+      EXPECT_EQ(got[i], read) << "count " << count << " value " << i;
+    }
+    for (size_t stage = 0; stage < kStages; ++stage) {
+      EXPECT_EQ(gathered.stage_reads(stage), reference.stage_reads(stage))
+          << "count " << count << " stage " << stage;
     }
   }
 }
 
 // Cross-packet accumulation, the way ProcessGetRun uses it: one pointer-pair
 // array spans many values, the kernel runs once over the whole run. Odd pair
-// counts exercise the vector tail path.
+// counts exercise the unroll tail.
 TEST(GatherValueSlotsTest, BatchedRunMatchesPerValueReads) {
   constexpr size_t kValues = 37;  // odd total, mixed unit counts
   ValueStore vs(8, kValues + 1);
@@ -184,7 +207,7 @@ TEST(GatherValueSlotsTest, BatchedRunMatchesPerValueReads) {
     cursor = vs.StageGather(bitmaps[i], i, want[i].size(), got[i].data(), srcs.data(),
                             dsts.data(), cursor);
   }
-  simd::GatherValueSlots(srcs.data(), dsts.data(), cursor);
+  GatherValueSlots(srcs.data(), dsts.data(), cursor);
   for (size_t i = 0; i < kValues; ++i) {
     EXPECT_EQ(got[i], want[i]) << "value " << i;
     EXPECT_EQ(got[i], vs.ReadValue(bitmaps[i], i, want[i].size()));

@@ -43,11 +43,9 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                       removed.
   simd-intrinsics     No raw x86 intrinsics (_mm*_..., __m128/__m256 types)
                       outside src/common/simd*. Everything else calls the
-                      dispatched kernels in common/simd.h, which keep a
-                      bit-identical scalar twin for every vector path and
-                      honour NETCACHE_SIMD=OFF / --no-simd; a stray intrinsic
-                      elsewhere silently breaks the scalar-equivalence
-                      contract and the non-AVX2 build.
+                      kernels in common/simd.h, whose vector bodies keep a
+                      portable fallback for non-x86 builds; a stray
+                      intrinsic elsewhere has none and breaks those builds.
   hot-path-alloc      No heap-allocating constructs (new expressions,
                       make_unique/make_shared, std::string objects,
                       std::to_string, std::vector object declarations) in
@@ -125,7 +123,7 @@ SIMD_INTRINSIC_PATTERN = re.compile(
     r"|avxintrin|avx2intrin|x86intrin)\.h>"
 )
 
-# The only files allowed to touch intrinsics: the dispatch layer itself.
+# The only files allowed to touch intrinsics: the kernel layer itself.
 SIMD_ALLOWED_PREFIX = "src/common/simd"
 
 # Fast-path TUs held to the no-heap-allocation rule: every function in these
@@ -133,7 +131,6 @@ SIMD_ALLOWED_PREFIX = "src/common/simd"
 # classes' headers/other TUs, so the whole file can be held to the bar.
 HOT_PATH_ALLOC_FILES = (
     "src/common/simd.cc",
-    "src/common/simd_avx2.cc",
     "src/dataplane/value_store.cc",
     "src/net/link.cc",
     "src/net/simulator.cc",
@@ -366,7 +363,7 @@ def check_file(path, rel, findings):
                 findings.append(
                     (rel, num, "simd-intrinsics",
                      "raw x86 intrinsic outside src/common/simd*; call the "
-                     "dispatched kernels in common/simd.h"))
+                     "kernels in common/simd.h"))
 
     if rel in HOT_PATH_ALLOC_FILES:
         for num, text in lines:

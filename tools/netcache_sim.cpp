@@ -83,9 +83,6 @@ int Usage(const char* program) {
                "                                     with an attributed diagnostic if any\n"
                "                                     event touches state owned by another\n"
                "                                     logical process (parallel DES)\n"
-               "           --no-simd                 force the scalar SIMD level (same as\n"
-               "                                     NETCACHE_SIMD=OFF); output is\n"
-               "                                     byte-identical either way\n"
                "rack only: --metrics-interval=SECS   time-series sampling bin (default 0.1)\n"
                "           --trace-out=FILE.jsonl    packet-lifecycle span events\n"
                "           --trace-limit=N           trace ring-buffer capacity (default 65536)\n"
@@ -373,9 +370,8 @@ int RunRack(ArgParser& args) {
       if (sim_threads_effective != sim_threads_requested) {
         w.Field("sim_threads_effective", static_cast<uint64_t>(sim_threads_effective));
       }
-      // "avx2" | "scalar". The determinism leg that diffs --no-simd against
-      // a native run strips this line before comparing (it is the one
-      // intended difference).
+      // "sse2" | "scalar": the build's vector level. Results never depend
+      // on it.
       w.Field("simd_level", ActiveSimdLevelName());
       w.EndObject();
       w.Field("sim_time_ns", static_cast<uint64_t>(rack.sim().Now()));
@@ -891,9 +887,6 @@ int Main(int argc, char** argv) {
     return Usage(argv[0]);
   }
   const std::string& command = args.positional()[0];
-  if (args.GetBool("no-simd", false)) {
-    ForceScalarSimd();
-  }
   if (args.GetBool("lp-checks", false)) {
 #if NETCACHE_LP_CHECKS
     lp::SetChecksEnabled(true);
