@@ -132,8 +132,8 @@ BENCHMARK(BM_SwitchReadHit_CacheSize)
 constexpr size_t kBurst = 32;
 constexpr size_t kBurstSets = 64;
 
-// Counts emits; burst-owned packets live in the bench arena, so nothing is
-// freed here (from_burst only transfers ownership out of the arrival slot).
+// Counts emits; every emit is an arrival packet, which lives in the bench
+// arena, so nothing is freed here.
 class CountingSink : public NetCacheSwitch::EmitSink {
  public:
   void OnEmit(uint32_t, Packet*, bool) override { ++emits_; }

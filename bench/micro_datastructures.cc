@@ -29,7 +29,6 @@
 #include "dataplane/value_store.h"
 #include "kvstore/flat_table.h"
 #include "kvstore/hash_table.h"
-#include "kvstore/kv_store.h"
 #include "net/packet_pool.h"
 #include "net/simulator.h"
 #include "proto/key_digest.h"
@@ -568,15 +567,12 @@ void RunSketchBatchTrial(bench::BenchHarness& harness) {
   trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
-// --- ServeStage / ServerBurst trials: the fig09 burst-serving kernels.
+// --- ServeStage trial: the fig09 burst-serving kernel.
 //
 // ServeStage drives ValueStore::StageGather + GatherValueSlots exactly
 // the way the switch's ProcessGetRun does — pointer pairs accumulated across
 // a 32-packet Get-run, one kernel call over the whole run — across the fig09
-// value-size sweep (32/64/96/128 B). ServerBurst drives the storage server's
-// ingress stages: simd::DigestGather16 over the burst's keys, digest-derived
-// core steering, the one-sweep bucket prefetch, then in-order KvStore::GetInto.
-// wall_ms/events feed the --perf gate.
+// value-size sweep (32/64/96/128 B). wall_ms/events feed the --perf gate.
 
 constexpr size_t kServeTrialIndexes = 8 * 1024;
 constexpr size_t kServeTrialReads = 1'000'000;
@@ -624,55 +620,6 @@ void RunServeStageTrial(bench::BenchHarness& harness) {
   trial.Config("reads", static_cast<double>(kServeTrialReads))
       .Config("burst", static_cast<double>(kServeTrialBurst));
   uint64_t acc = RunServeStagePass(trial);
-  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
-}
-
-constexpr size_t kServerTrialKeys = 64 * 1024;
-constexpr size_t kServerTrialReads = 1'000'000;
-constexpr size_t kServerTrialCores = 8;
-constexpr uint64_t kServerTrialCoreSeed = 7;
-
-uint64_t RunServerBurstPass(bench::TrialRecord& trial) {
-  KvStore store;
-  for (uint64_t i = 0; i < kServerTrialKeys; ++i) {
-    store.Put(Key::FromUint64(i), WorkloadGenerator::ValueFor(i, 128));
-  }
-  Rng rng(52);
-  Key keys[kServeTrialBurst];
-  const uint8_t* key_ptrs[kServeTrialBurst];
-  uint64_t h1[kServeTrialBurst];
-  uint64_t h2[kServeTrialBurst];
-  Value value;
-  uint64_t acc = 0;
-  bench::TrialTimer timer(&trial);
-  for (size_t base = 0; base < kServerTrialReads; base += kServeTrialBurst) {
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
-      keys[i] = Key::FromUint64(rng.NextBounded(kServerTrialKeys));
-      key_ptrs[i] = keys[i].bytes.data();
-    }
-    simd::DigestGather16(key_ptrs, kServeTrialBurst, h1, h2);
-    // The one-sweep bucket warm, then in-order steering + lookups — the shape
-    // of StorageServer::HandleBurst stages 1.5 and 2.
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
-      store.Prefetch(h1[i]);
-    }
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
-      KeyDigest d{h1[i], h2[i]};
-      acc += d.Probe(kServerTrialCoreSeed) % kServerTrialCores;
-      bool hit = store.GetInto(keys[i], h1[i], &value);
-      NC_CHECK(hit);
-      acc += value.data()[0] + value.size();
-    }
-  }
-  timer.SetEvents(kServerTrialReads);
-  return acc;
-}
-
-void RunServerBurstTrial(bench::BenchHarness& harness) {
-  auto& trial = harness.AddTrial("ServerBurst");
-  trial.Config("reads", static_cast<double>(kServerTrialReads))
-      .Config("burst", static_cast<double>(kServeTrialBurst));
-  uint64_t acc = RunServerBurstPass(trial);
   trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
@@ -816,7 +763,6 @@ int main(int argc, char** argv) {
   netcache::RunBurstTrials(harness);
   netcache::RunSketchBatchTrial(harness);
   netcache::RunServeStageTrial(harness);
-  netcache::RunServerBurstTrial(harness);
   netcache::RunTableGroupProbeTrial(harness);
   netcache::RunParallelDesTrials(harness);
   benchmark::Initialize(&argc, argv);

@@ -9,6 +9,21 @@
 
 namespace netcache {
 
+namespace {
+
+// Rewrites the request `pkt` in place into its header-only reply with op
+// `op`: the wire image of MakeReplyShell(pkt) with that op (see the in-place
+// contract note there). The value is cleared, not just hidden, because the
+// client hands a Put reply's nc.value to its callback.
+void RewriteAsReply(Packet& pkt, OpCode op) {
+  pkt.SwapSrcDst();
+  pkt.nc.op = op;
+  pkt.nc.has_value = false;
+  pkt.nc.value.set_size(0);
+}
+
+}  // namespace
+
 NetCacheSwitch::NetCacheSwitch(Simulator* sim, std::string name, const SwitchConfig& config)
     : Node(std::move(name)),
       sim_(sim),
@@ -88,21 +103,13 @@ void NetCacheSwitch::ScheduleEmit(uint32_t port, Packet* out_pkt) {
 
 void NetCacheSwitch::HandleBurst(BurstArrival* arrivals, size_t count) {
   NC_CHECK(sim_ != nullptr) << "switch not attached to a simulator";
-  // Bridges the burst pipeline to the event queue: burst-owned packets are
-  // already pooled and go straight to ScheduleEmit; scratch packets (from
-  // the barrier path) are parked in the pool first, so the emit closure
-  // stays within the inline-event capture budget.
+  // Bridges the burst pipeline to the event queue: every emit is a pooled
+  // arrival rewritten in place, so it goes straight to ScheduleEmit.
   class ScheduleSink : public EmitSink {
    public:
     explicit ScheduleSink(NetCacheSwitch* sw) : sw_(sw) {}
-    void OnEmit(uint32_t port, Packet* pkt, bool from_burst) override {
-      if (from_burst) {
-        sw_->ScheduleEmit(port, pkt);
-        return;
-      }
-      Packet* out_pkt = sw_->sim_->packet_pool().Acquire();
-      *out_pkt = std::move(*pkt);
-      sw_->ScheduleEmit(port, out_pkt);
+    void OnEmit(uint32_t port, Packet* pkt, bool /*from_burst*/) override {
+      sw_->ScheduleEmit(port, pkt);
     }
 
    private:
@@ -121,8 +128,7 @@ std::vector<NetCacheSwitch::Emit> NetCacheSwitch::ProcessPacket(const Packet& pk
 
 void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
                                    std::vector<Emit>& out) {
-  // Every emit is moved into `out`: the stolen one is the local copy below,
-  // the others are barrier scratch the sink may not keep.
+  // The one possible emit is the local copy below, rewritten in place.
   class AppendSink : public EmitSink {
    public:
     explicit AppendSink(std::vector<Emit>& out) : out_(out) {}
@@ -139,53 +145,35 @@ void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
   ProcessBurst(std::span<BurstArrival>(&arrival, 1), sink);
 }
 
-void NetCacheSwitch::ProcessBarrier(const Packet& pkt, uint32_t in_port,
-                                    std::vector<Emit>& out) {
+void NetCacheSwitch::ProcessBarrier(BurstArrival& arrival, EmitSink& sink) {
   ++counters_.packets;
-
+  Packet& pkt = *arrival.pkt;
   // Parser: only packets on the reserved L4 port run the NetCache modules;
   // everything else is plain L2/L3 traffic (§4.1).
-  if (!IsNetCacheQuery(pkt)) {
-    ForwardByDst(Packet(pkt), out);
-    ApplySnakeForward(in_port, out);
-    return;
+  if (IsNetCacheQuery(pkt)) {
+    ++counters_.netcache_queries;
+    switch (pkt.nc.op) {
+      case OpCode::kPut:
+      case OpCode::kDelete:
+        ProcessWrite(pkt);
+        break;
+      case OpCode::kCacheUpdate:
+        ProcessCacheUpdate(pkt);
+        break;
+      default:
+        break;  // replies and acks pass through to their destination
+    }
   }
-  ++counters_.netcache_queries;
-
-  Packet work = pkt;
-  // Ingress hash engine: one pass over the key; every downstream table,
-  // sketch, and server-side index derives from the digest (or reuses one a
-  // previous hop already computed).
-  if (work.digest.Empty()) {
-    work.digest = KeyDigest::Of(work.nc.key);
-  }
-  switch (work.nc.op) {
-    case OpCode::kPut:
-    case OpCode::kDelete:
-      ProcessWrite(work, out);
-      break;
-    case OpCode::kCacheUpdate:
-      ProcessCacheUpdate(work, out);
-      break;
-    default:
-      // Replies and acks pass through to their destination.
-      ForwardByDst(std::move(work), out);
-      break;
-  }
-  ApplySnakeForward(in_port, out);
+  ForwardBurstPacket(arrival, sink);
 }
 
 void NetCacheSwitch::ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& sink) {
   size_t i = 0;
   while (i < arrivals.size()) {
     if (!IsNetCacheGet(*arrivals[i].pkt)) {
-      // Barrier packet (write, cache update, reply, plain L3): per-packet
-      // pipeline at its in-order turn.
-      scratch_emits_.clear();
-      ProcessBarrier(*arrivals[i].pkt, arrivals[i].port, scratch_emits_);
-      for (Emit& e : scratch_emits_) {
-        sink.OnEmit(e.port, &e.pkt, /*from_burst=*/false);
-      }
+      // Barrier packet (write, cache update, reply, plain L3): rewritten in
+      // place and forwarded at its in-order turn.
+      ProcessBarrier(arrivals[i], sink);
       ++i;
       continue;
     }
@@ -503,23 +491,6 @@ void NetCacheSwitch::ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink) {
   sink.OnEmit(out_port, &p, /*from_burst=*/true);
 }
 
-void NetCacheSwitch::ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out) {
-  if (in_port >= snake_.size() || !snake_[in_port].has_value()) {
-    return;
-  }
-  const SnakeHop& hop = *snake_[in_port];
-  for (Emit& emit : out) {
-    emit.port = hop.out_port;
-    if (hop.strip_value && emit.pkt.nc.op == OpCode::kGetReply) {
-      // Rewind a served reply into a fresh query for the next snake pass.
-      emit.pkt.nc.op = OpCode::kGet;
-      emit.pkt.nc.has_value = false;
-      emit.pkt.nc.value = Value{};
-      emit.pkt.SwapSrcDst();
-    }
-  }
-}
-
 void NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value) {
   if (in_port >= snake_.size()) {
     snake_.resize(in_port + 1);
@@ -527,11 +498,20 @@ void NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool s
   snake_[in_port] = SnakeHop{out_port, strip_value};
 }
 
-void NetCacheSwitch::ProcessWrite(Packet& pkt, std::vector<Emit>& out) {
+void NetCacheSwitch::ProcessWrite(Packet& pkt) {
   ++counters_.writes;
+  // Ingress hash engine: one pass over the key; every downstream table,
+  // sketch, and server-side index derives from the digest (or reuses one a
+  // previous hop already computed).
+  if (pkt.digest.Empty()) {
+    pkt.digest = KeyDigest::Of(pkt.nc.key);
+  }
   const CacheAction* action =
       lookup_.PeekWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));  // Alg 1 line 11
-  if (action != nullptr && config_.write_back && pkt.nc.op == OpCode::kPut &&
+  if (action == nullptr) {
+    return;  // Alg 1 line 13: forwarded to the server unchanged
+  }
+  if (config_.write_back && pkt.nc.op == OpCode::kPut &&
       pkt.nc.value.NumUnits() <= static_cast<size_t>(std::popcount(action->bitmap))) {
     // Experimental §5 write-back: absorb the write in the switch. The entry
     // stays valid with the fresh value, the dirty bit records the pending
@@ -546,34 +526,26 @@ void NetCacheSwitch::ProcessWrite(Packet& pkt, std::vector<Emit>& out) {
       TraceSpan(TraceEvent::kSwitchWriteBack, TraceQueryId(pkt),
                 sim_ != nullptr ? sim_->Now() : 0, config_.switch_ip);
     }
-    Packet reply = MakeReplyShell(pkt);
-    reply.nc.op = OpCode::kPutReply;
-    ForwardByDst(std::move(reply), out);
+    RewriteAsReply(pkt, OpCode::kPutReply);
     return;
   }
-  if (action != nullptr) {
-    // Invalidate so later reads go to the server until it refreshes the
-    // cache, and mark the op so the server knows the key is cached (§4.3).
-    status_.Write(action->key_index, 0);  // Alg 1 line 12
-    ++counters_.invalidations;
-    pkt.nc.op = pkt.nc.op == OpCode::kPut || pkt.nc.op == OpCode::kCachedPut
-                    ? OpCode::kCachedPut
-                    : OpCode::kCachedDelete;
-  }
-  ForwardByDst(std::move(pkt), out);  // Alg 1 line 13
+  // Invalidate so later reads go to the server until it refreshes the
+  // cache, and mark the op so the server knows the key is cached (§4.3).
+  status_.Write(action->key_index, 0);  // Alg 1 line 12
+  ++counters_.invalidations;
+  pkt.nc.op = pkt.nc.op == OpCode::kPut ? OpCode::kCachedPut : OpCode::kCachedDelete;
 }
 
-void NetCacheSwitch::ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out) {
+void NetCacheSwitch::ProcessCacheUpdate(Packet& pkt) {
+  if (pkt.digest.Empty()) {
+    pkt.digest = KeyDigest::Of(pkt.nc.key);
+  }
   const CacheAction* action =
       lookup_.PeekWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));
-  // Header-only reply shell: the ack never carries the value, so don't copy it.
-  Packet reply = MakeReplyShell(pkt);
-
   if (action == nullptr) {
     // Key was evicted while the write was in flight; ack so the server
     // unblocks — the authoritative copy lives on the server anyway.
-    reply.nc.op = OpCode::kCacheUpdateAck;
-    ForwardByDst(std::move(reply), out);
+    RewriteAsReply(pkt, OpCode::kCacheUpdateAck);
     return;
   }
   if (!pkt.nc.has_value) {
@@ -581,8 +553,7 @@ void NetCacheSwitch::ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out) {
     // stays invalid until the controller evicts or re-inserts it.
     status_.Write(action->key_index, 0);
     ++counters_.cache_updates;
-    reply.nc.op = OpCode::kCacheUpdateAck;
-    ForwardByDst(std::move(reply), out);
+    RewriteAsReply(pkt, OpCode::kCacheUpdateAck);
     return;
   }
   size_t allocated_units = static_cast<size_t>(std::popcount(action->bitmap));
@@ -592,35 +563,14 @@ void NetCacheSwitch::ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out) {
     // serve reads until the control plane re-installs it.
     status_.Write(action->key_index, 0);
     ++counters_.update_rejects;
-    reply.nc.op = OpCode::kCacheUpdateReject;
-    ForwardByDst(std::move(reply), out);
+    RewriteAsReply(pkt, OpCode::kCacheUpdateReject);
     return;
   }
   pipes_[action->pipe].values.WriteValue(action->bitmap, action->value_index, pkt.nc.value);
   value_size_.Write(action->key_index, static_cast<uint8_t>(pkt.nc.value.size()));
   status_.Write(action->key_index, 1);  // valid again; serves reads at line rate
   ++counters_.cache_updates;
-  reply.nc.op = OpCode::kCacheUpdateAck;
-  ForwardByDst(std::move(reply), out);
-}
-
-void NetCacheSwitch::ForwardByDst(Packet&& pkt, std::vector<Emit>& out) {
-  const uint32_t* port = routes_.Find(pkt.ip.dst);
-  if (port == nullptr) {
-    ++counters_.unroutable;
-    NC_LOG(DEBUG) << name() << ": no route for " << pkt.ip.dst;
-    return;
-  }
-  // Standard IPv4 loop protection: decrement TTL, drop at zero. Keeps a
-  // routing misconfiguration (or a snake wired into a cycle) from looping
-  // packets forever.
-  if (pkt.ip.ttl == 0) {
-    ++counters_.ttl_drops;
-    return;
-  }
-  --pkt.ip.ttl;
-  ++counters_.forwarded;
-  out.push_back(Emit{*port, std::move(pkt)});
+  RewriteAsReply(pkt, OpCode::kCacheUpdateAck);
 }
 
 // ---------------------------------------------------------------------------

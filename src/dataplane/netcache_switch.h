@@ -8,7 +8,10 @@
 // Every delivery reaches the data plane as a burst (HandleBurst, one packet
 // or many), and ProcessGetRun is the one code path that serves a Get: runs
 // of Gets execute stage-at-a-time, any other packet is an in-order barrier.
-// ProcessPacket is an adapter that runs a one-packet burst.
+// Every packet — Get, write, cache update, reply or plain L3 — is rewritten
+// in its own arrival packet, as the hardware pipeline modifies the PHV, and
+// leaves through one route/TTL/snake step (ForwardBurstPacket). ProcessPacket
+// is an adapter that runs a one-packet burst.
 //
 // Control plane (the "switch driver" API used by the controller and tests):
 //   route management, cache entry insert/evict, counter reads, statistics
@@ -139,18 +142,18 @@ class NetCacheSwitch : public Node {
     Packet pkt;
   };
   // Runs the full pipeline on one packet (a one-packet ProcessBurst over a
-  // copy) and returns the packets to emit (usually one; zero for consumed
-  // control packets or unroutable drops).
+  // copy) and returns the packets to emit: the rewritten copy, or none on an
+  // unroutable or TTL drop.
   std::vector<Emit> ProcessPacket(const Packet& pkt, uint32_t in_port);
   // Appends emits to `out` (which the caller may reuse across packets)
   // instead of returning a fresh vector.
   void ProcessPacket(const Packet& pkt, uint32_t in_port, std::vector<Emit>& out);
 
-  // Receives the pipeline's output packets during burst processing.
-  // `from_burst` tells the sink who owns the packet: true means `pkt` is the
-  // pooled arrival rewritten in place (the sink takes ownership and must
-  // eventually Release it); false means `pkt` lives in pipeline scratch
-  // storage and the sink must copy it out before returning.
+  // Receives the pipeline's output packets during burst processing. `pkt` is
+  // always the arrival rewritten in place, stolen from its slot: the sink
+  // takes ownership (and must eventually Release a pooled packet).
+  // `from_burst` is always true; it stays until the benchmark driver's sink
+  // (perfbench/netcache_bench.cc) stops overriding this signature.
   class EmitSink {
    public:
     virtual ~EmitSink() = default;
@@ -160,7 +163,7 @@ class NetCacheSwitch : public Node {
   // VPP-style stage-at-a-time processing of a delivery burst: runs of Get
   // queries execute as match-all -> stats-all -> value-store-all with
   // software prefetch between stages; any other packet is a barrier that
-  // runs through the per-packet write/update/forward pipeline at its
+  // is rewritten in place (write, cache update) or passed through at its
   // in-order turn. All observable side effects (counters, RNG draws, traces,
   // hot reports, emits) are issued at each packet's sequential position, so
   // one N-packet burst is identical to N one-packet bursts in arrival order.
@@ -345,15 +348,14 @@ class NetCacheSwitch : public Node {
 
   // Barrier path: every packet that is not a NetCache Get (writes, cache
   // updates, replies, plain L3) runs through here at its in-order turn and
-  // appends its emits — snake hop applied — to the empty `out`.
-  void ProcessBarrier(const Packet& pkt, uint32_t in_port, std::vector<Emit>& out);
-  // Applies the snake hop on `in_port` to every emit in `out`.
-  void ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out);
-  void ProcessWrite(Packet& pkt, std::vector<Emit>& out);
-  void ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out);
-  // Routes `pkt` by ip.dst and moves it into `out` — callers hand over their
-  // working copy instead of paying another ~190-byte Packet copy per hop.
-  void ForwardByDst(Packet&& pkt, std::vector<Emit>& out);
+  // leaves through ForwardBurstPacket.
+  void ProcessBarrier(BurstArrival& arrival, EmitSink& sink);
+  // Alg 1 lines 11-13 and the §4.3 data-plane cache update. Both digest the
+  // key if no earlier hop did, probe the lookup table, and rewrite `pkt` in
+  // place: a write into its Cached op or (write-back) the client's reply,
+  // an update into its ack or reject.
+  void ProcessWrite(Packet& pkt);
+  void ProcessCacheUpdate(Packet& pkt);
 
   // LP ownership (parallel DES): the data plane — tables, registers, sketch,
   // counters, scratch — is owned by the switch's LP; the controller's
@@ -375,11 +377,11 @@ class NetCacheSwitch : public Node {
   NC_LP_OWNED std::vector<uint32_t> free_key_indexes_;
 
   NC_LP_OWNED QueryStatistics stats_;
-  // Open-addressing route table: ForwardByDst runs once per emitted packet,
-  // and flat probing on the Mix64-spread address beats the chained
-  // unordered_map there (see micro_datastructures BM_*RouteLookup).
+  // Open-addressing route table: ForwardBurstPacket probes it on every memo
+  // miss below, and flat probing on the Mix64-spread address beats the
+  // chained unordered_map there (see micro_datastructures BM_*RouteLookup).
   NC_LP_OWNED FlatTable<IpAddress, uint32_t, UintHasher> routes_;
-  // One-entry route memo for the burst forward path: a run's replies
+  // One-entry route memo for the forward path: a run's replies
   // overwhelmingly share a destination (one client, or one server for the
   // miss side), so the repeated probe folds into a compare. nullptr port =
   // memo empty; AddRoute invalidates (robin-hood upserts may move entries).
@@ -396,9 +398,8 @@ class NetCacheSwitch : public Node {
   NC_LP_OWNED std::vector<uint64_t> pipe_value_reads_;
   // Per-pipe transmitter state for the optional rate bound.
   NC_LP_OWNED std::vector<SimTime> pipe_busy_until_;
-  // Scratch buffers for burst processing (barrier emits, staged Gets);
-  // members so the steady state allocates nothing per packet or burst.
-  NC_LP_OWNED std::vector<Emit> scratch_emits_;
+  // Staged Gets of the current run; a member so the steady state allocates
+  // nothing per packet or burst.
   NC_LP_OWNED std::vector<StagedGet> staged_;
   // Burst scratch (stage-1 digest batching and the stage-2.5 cold-miss
   // batch), reserved once in the constructor: pointers at the packets'

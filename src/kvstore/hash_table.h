@@ -72,16 +72,6 @@ class HashDyn {
     return node != nullptr ? &node->value : nullptr;
   }
 
-  // Warms the chain head of the bucket `h` selects ahead of a FindWithHash
-  // (the storage server's burst-ingress prefetch stage). Pure: no counters,
-  // no node contents read.
-  void Prefetch(size_t h) const {
-    const Node* head = buckets_[h & (buckets_.size() - 1)].get();
-    if (head != nullptr) {
-      __builtin_prefetch(head);
-    }
-  }
-
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
   // Removes the key. Returns true if it was present.

@@ -41,10 +41,6 @@ class KvStore {
     return true;
   }
 
-  // Warms the hash bucket `h1` selects ahead of a GetInto (the server's
-  // burst-ingress prefetch stage). Counter-free.
-  void Prefetch(uint64_t h1) const { table_.Prefetch(static_cast<size_t>(h1)); }
-
   // Same lookup without touching the gets/hits counters. For observers
   // (invariant checkers, test assertions) that must not perturb the
   // metrics a run exports.

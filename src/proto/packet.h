@@ -137,10 +137,13 @@ inline uint64_t TraceQueryId(const Packet& pkt) {
 // Avoids copying the (up to 128-byte) request value into a reply that would
 // immediately discard it.
 //
-// In-place alternative (the server/cache hot paths): when the request is a
-// mutable pool-owned packet, call pkt.SwapSrcDst() and rewrite it into the
-// reply with no copy at all. Contract for such rewrites — fields that
-// survive from the request and must remain valid for the reply:
+// In-place alternative: when the request is a mutable pool-owned packet,
+// call pkt.SwapSrcDst() and rewrite it into the reply with no copy at all.
+// The server and cache node answer Gets this way; the switch answers cache
+// updates (ack/reject) and write-back Puts this way too, clearing the value
+// so the reply matches this shell (a client hands a Put reply's value to
+// its callback). Contract for such rewrites — fields that survive from the
+// request and must remain valid for the reply:
 //   - eth/ip/l4 (swapped), is_netcache, nc.seq, nc.key: same as this shell.
 //   - digest: MAY be retained even though this shell clears it. The digest
 //     is a pure function of nc.key (proto/key_digest.h), so a retained

@@ -4,16 +4,9 @@
 
 #include "common/logging.h"
 #include "common/profiler.h"
-#include "common/simd.h"
 #include "common/trace_recorder.h"
 
 namespace netcache {
-
-namespace {
-// burst_core_ sentinel: arrival is not a data-path query (non-NetCache, an
-// update ack/reject, or an op the server ignores).
-constexpr uint32_t kBurstNotData = ~uint32_t{0};
-}  // namespace
 
 StorageServer::StorageServer(Simulator* sim, std::string name, const ServerConfig& config)
     : Node(std::move(name)), sim_(sim), config_(config) {
@@ -57,104 +50,6 @@ size_t StorageServer::BusyCores() const {
   return busy;
 }
 
-void StorageServer::HandleBurst(BurstArrival* arrivals, size_t count) {
-  // online_ flips only in the global serial stream, so it is constant across
-  // a window; a crashed server drops the whole burst in one branch. A lone
-  // delivery takes the per-packet path — no batch work to amortize.
-  if (!online_ || count < 2) {
-    for (size_t i = 0; i < count; ++i) {
-      HandlePacket(*arrivals[i].pkt, arrivals[i].port);
-    }
-    return;
-  }
-
-  // Stage 1 — steer. Digest the keys that arrived without one (direct
-  // injections; switch-crossed packets already carry it) in SIMD batches and
-  // record every data packet's RSS core and key hash. The arrival packets
-  // are NOT mutated: queued copies stay byte-identical to the per-packet
-  // path, the hashes live in per-window scratch instead.
-  burst_core_.assign(count, kBurstNotData);
-  burst_h1_.resize(count);
-  burst_key_ptrs_.clear();
-  burst_pos_.clear();
-  for (size_t i = 0; i < count; ++i) {
-    const Packet& p = *arrivals[i].pkt;
-    if (!p.is_netcache) {
-      continue;
-    }
-    switch (p.nc.op) {
-      case OpCode::kGet:
-      case OpCode::kPut:
-      case OpCode::kDelete:
-      case OpCode::kCachedPut:
-      case OpCode::kCachedDelete:
-        break;
-      default:
-        continue;  // acks/rejects and ignored ops dispatch in stage 2
-    }
-    if (p.digest.Empty()) {
-      burst_key_ptrs_.push_back(p.nc.key.bytes.data());
-      burst_pos_.push_back(static_cast<uint32_t>(i));
-    } else {
-      burst_h1_[i] = p.digest.h1;
-      burst_core_[i] = static_cast<uint32_t>(CoreOfDigest(p.digest));
-    }
-  }
-  if (!burst_pos_.empty()) {
-    burst_dh1_.resize(burst_pos_.size());
-    burst_dh2_.resize(burst_pos_.size());
-    simd::DigestGather16(burst_key_ptrs_.data(), burst_pos_.size(), burst_dh1_.data(),
-                         burst_dh2_.data());
-    for (size_t m = 0; m < burst_pos_.size(); ++m) {
-      size_t i = burst_pos_[m];
-      burst_h1_[i] = burst_dh1_[m];
-      burst_core_[i] =
-          static_cast<uint32_t>(CoreOfDigest(KeyDigest{burst_dh1_[m], burst_dh2_[m]}));
-    }
-  }
-
-  // Stage 1.5 — warm the store. One mutex hold prefetches every hash-table
-  // bucket the window's reads will probe, instead of each service completion
-  // walking a cold chain on its own.
-  {
-    ProfScope prof(ProfCat::kServerLookup);
-    MutexLock lock(store_mu_);
-    uint64_t warmed = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (burst_core_[i] != kBurstNotData && arrivals[i].pkt->nc.op == OpCode::kGet) {
-        store_.Prefetch(burst_h1_[i]);
-        ++warmed;
-      }
-    }
-    prof.set_arg(warmed);
-  }
-
-  // Stage 2 — dispatch in arrival order: identical admission decisions,
-  // queue contents, and counters to single-packet delivery.
-  for (size_t i = 0; i < count; ++i) {
-    const Packet& p = *arrivals[i].pkt;
-    ++stats_.received;
-    if (!p.is_netcache) {
-      continue;
-    }
-    if (burst_core_[i] != kBurstNotData) {
-      EnqueueSteered(p, burst_core_[i]);
-      continue;
-    }
-    switch (p.nc.op) {
-      case OpCode::kCacheUpdateAck:
-        HandleUpdateAck(p);
-        break;
-      case OpCode::kCacheUpdateReject:
-        HandleUpdateReject(p);
-        break;
-      default:
-        NC_LOG(DEBUG) << name() << ": ignoring " << p.Summary();
-        break;
-    }
-  }
-}
-
 void StorageServer::HandlePacket(const Packet& pkt, uint32_t /*in_port*/) {
   ++stats_.received;
   if (!online_ || !pkt.is_netcache) {
@@ -185,13 +80,9 @@ void StorageServer::EnqueueOrDrop(const Packet& pkt, bool front) {
   // RSS steering: the queue is chosen by the key hash, so per-key load can
   // never spread across cores (§1, §6). A packet that crossed a NetCache
   // switch carries the digest already; direct injections (unit tests) hash
-  // here. Both give the same mapping — CoreOf uses the digest formula too,
-  // and HandleBurst's SIMD digest stage computes the identical values.
-  EnqueueSteered(
-      pkt, CoreOfDigest(pkt.digest.Empty() ? KeyDigest::Of(pkt.nc.key) : pkt.digest), front);
-}
-
-void StorageServer::EnqueueSteered(const Packet& pkt, size_t core_index, bool front) {
+  // here. Both give the same mapping — CoreOf uses the digest formula too.
+  const size_t core_index =
+      CoreOfDigest(pkt.digest.Empty() ? KeyDigest::Of(pkt.nc.key) : pkt.digest);
   Core& core = cores_[core_index];
   if (core.queue.size() >= config_.queue_capacity / config_.num_cores + 1) {
     ++stats_.dropped;

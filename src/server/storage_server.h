@@ -15,6 +15,11 @@
 // Service model: queries are served FIFO from a bounded queue at a fixed
 // per-query service time (1 / service_rate). Arrivals beyond the queue bound
 // are dropped — exactly the paper's server-emulation methodology (§7.1).
+//
+// Receive path: the server keeps Node's default burst handler, which hands
+// each arrival of a delivery to HandlePacket in order, so the agent handles
+// each query as it arrives (§6). A served Get is rewritten into its reply in
+// place (proto/packet.h).
 
 #ifndef NETCACHE_SERVER_STORAGE_SERVER_H_
 #define NETCACHE_SERVER_STORAGE_SERVER_H_
@@ -88,7 +93,6 @@ class StorageServer : public Node {
 
   // ---- data path ----
   void HandlePacket(const Packet& pkt, uint32_t in_port) override;
-  void HandleBurst(BurstArrival* arrivals, size_t count) override;
 
   // ---- control channel (used by the controller) ----
   // The control channel is the one path specified to run concurrently with
@@ -175,9 +179,6 @@ class StorageServer : public Node {
   SimDuration ServiceTime() const;
   size_t CoreOfDigest(const KeyDigest& digest) const;
   void EnqueueOrDrop(const Packet& pkt, bool front = false);
-  // Admission with the RSS core already chosen (the burst path steers a whole
-  // window up front; EnqueueOrDrop computes the core and delegates here).
-  void EnqueueSteered(const Packet& pkt, size_t core_index, bool front = false);
   void StartNextIfIdle(size_t core);
   // The in-service packet is pool-owned and mutable: reads rewrite it into
   // the reply in place (see proto/packet.h, MakeReplyShell contract note).
@@ -212,14 +213,6 @@ class StorageServer : public Node {
 
   NC_LP_SHARED UpdateRejectHandler update_reject_;  // installed at wiring time
   NC_LP_OWNED ServerStats stats_;
-
-  // Burst-window scratch (HandleBurst stage 1), reserved on first use and
-  // reused every window so the steady-state receive path never allocates.
-  NC_LP_OWNED std::vector<const uint8_t*> burst_key_ptrs_;  // keys needing a digest
-  NC_LP_OWNED std::vector<uint32_t> burst_pos_;             // their arrival indices
-  NC_LP_OWNED std::vector<uint64_t> burst_dh1_, burst_dh2_; // batched digests
-  NC_LP_OWNED std::vector<uint32_t> burst_core_;  // per-arrival core, kBurstNotData if non-data
-  NC_LP_OWNED std::vector<uint64_t> burst_h1_;    // per-arrival key hash (data packets only)
 };
 
 }  // namespace netcache

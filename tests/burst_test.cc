@@ -40,15 +40,13 @@ SwitchConfig SmallSwitch() {
   return cfg;
 }
 
-// Collects burst emits by value, honouring the ownership protocol: stolen
-// (from_burst) packets are owned by the sink and freed here.
+// Collects burst emits by value, honouring the ownership protocol: every
+// emit is an arrival stolen from its slot, owned by the sink and freed here.
 class CollectSink : public NetCacheSwitch::EmitSink {
  public:
-  void OnEmit(uint32_t port, Packet* pkt, bool from_burst) override {
+  void OnEmit(uint32_t port, Packet* pkt, bool /*from_burst*/) override {
     emits_.push_back({port, *pkt});
-    if (from_burst) {
-      delete pkt;
-    }
+    delete pkt;
   }
   const std::vector<NetCacheSwitch::Emit>& emits() const { return emits_; }
 
@@ -251,6 +249,80 @@ TEST_F(BurstEquivalenceTest, ProcessPacketIsAOnePacketBurst) {
   }
   ExpectSameEmits(burst_sink_.emits(), adapter_emits);
   ExpectSameCounters(burst_sw_.counters(), single_sw_.counters());
+}
+
+// Records each emit's packet pointer without taking ownership: the test's
+// own storage outlives the burst.
+class PointerSink : public NetCacheSwitch::EmitSink {
+ public:
+  void OnEmit(uint32_t port, Packet* pkt, bool /*from_burst*/) override {
+    ports_.push_back(port);
+    pkts_.push_back(pkt);
+  }
+
+  std::vector<uint32_t> ports_;
+  std::vector<Packet*> pkts_;
+};
+
+TEST(BurstInPlaceTest, EveryForwardedArrivalIsEmittedAsItself) {
+  // A mixed burst: Gets around every barrier kind. Each forwarded packet —
+  // barrier or Get — must leave as its own arrival packet, rewritten in
+  // place and stolen from its slot; only a dropped one stays in the slot.
+  NetCacheSwitch sw(nullptr, "tor", SmallSwitch());
+  ASSERT_TRUE(sw.AddRoute(kServerA, 0).ok());
+  ASSERT_TRUE(sw.AddRoute(kServerB, 1).ok());
+  ASSERT_TRUE(sw.AddRoute(kClient, 4).ok());
+  ASSERT_TRUE(sw.InsertCacheEntry(K(1), Value::Filler(1, 64), kServerA).ok());
+
+  Packet update;
+  update.ip.src = kServerA;
+  update.ip.dst = sw.config().switch_ip;
+  update.l4.dst_port = kNetCachePort;
+  update.nc.op = OpCode::kCacheUpdate;
+  update.nc.key = K(1);
+  update.nc.has_value = true;
+  update.nc.value = Value::Filler(2, 64);
+  Packet reply = MakeReplyShell(MakeGet(kClient, kServerB, K(2), 7));
+  reply.nc.op = OpCode::kGetReply;
+  Packet plain;
+  plain.is_netcache = false;
+  plain.ip.src = kClient;
+  plain.ip.dst = kServerB;
+  constexpr size_t kDropped = 7;
+  std::vector<Packet> pkts = {
+      MakeGet(kClient, kServerA, K(1), 0),
+      MakePut(kClient, kServerA, K(1), Value::Filler(2, 64), 1),
+      MakeGet(kClient, kServerA, K(1), 2),
+      update,
+      MakeGet(kClient, kServerA, K(1), 3),
+      reply,
+      plain,
+      MakePut(kClient, 0x0adead01, K(4), Value::Filler(4, 16), 4),  // unroutable
+      MakeGet(kClient, kServerB, K(5), 5),
+  };
+  std::vector<BurstArrival> arrivals;
+  for (size_t i = 0; i < pkts.size(); ++i) {
+    arrivals.push_back(BurstArrival{&pkts[i], i == 3 ? 0u : 4u});
+  }
+  PointerSink sink;
+  sw.ProcessBurst({arrivals.data(), arrivals.size()}, sink);
+
+  ASSERT_EQ(sink.pkts_.size(), pkts.size() - 1);
+  size_t emit = 0;
+  for (size_t i = 0; i < pkts.size(); ++i) {
+    if (i == kDropped) {
+      EXPECT_EQ(arrivals[i].pkt, &pkts[i]);
+      continue;
+    }
+    EXPECT_EQ(arrivals[i].pkt, nullptr) << "arrival " << i;
+    EXPECT_EQ(sink.pkts_[emit++], &pkts[i]) << "arrival " << i;
+  }
+  EXPECT_EQ(pkts[1].nc.op, OpCode::kCachedPut);
+  EXPECT_EQ(pkts[3].nc.op, OpCode::kCacheUpdateAck);
+  EXPECT_EQ(pkts[4].nc.op, OpCode::kGetReply);  // served the updated value
+  EXPECT_EQ(pkts[4].nc.value, Value::Filler(2, 64));
+  EXPECT_EQ(sink.ports_[3], 0u);  // the ack goes back to the server
+  EXPECT_EQ(sw.counters().unroutable, 1u);
 }
 
 // ------------------------------------------------- sampled bursts

@@ -400,10 +400,9 @@ TEST(PerCoreServerTest, UniformKeysUseAllCores) {
 
 // ------------------------------------------------- burst delivery
 
-// The simulator hands a server every delivery as a HandleBurst call, and a
-// multi-packet one takes the staged receive path (batched digest steer,
-// store prefetch). It must admit, queue and answer exactly like the same
-// packets delivered one at a time.
+// The simulator hands a server every delivery as a HandleBurst call, which
+// the server leaves to Node's default. A multi-packet delivery must admit,
+// queue and answer exactly like the same packets delivered one at a time.
 struct BurstRig {
   BurstRig() {
     ServerConfig cfg;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "dataplane/netcache_switch.h"
+#include "reply_contract.h"
 #include "workload/generator.h"
 
 namespace netcache {
@@ -136,7 +137,7 @@ TEST_F(SwitchTest, CacheUpdateRevalidates) {
   auto emits = sw_.ProcessPacket(update, 0);
 
   ASSERT_EQ(emits.size(), 1u);
-  EXPECT_EQ(emits[0].pkt.nc.op, OpCode::kCacheUpdateAck);
+  ExpectInPlaceReply(update, emits[0], OpCode::kCacheUpdateAck);
   EXPECT_EQ(emits[0].pkt.ip.dst, kServerA);
   EXPECT_TRUE(sw_.IsValid(K(1)));
   EXPECT_EQ(*sw_.ReadCachedValue(K(1)), fresh);
@@ -177,7 +178,7 @@ TEST_F(SwitchTest, OversizedUpdateRejected) {
   update.nc.value = Value::Filler(2, 128);  // 8 units > 1 allocated
   auto emits = sw_.ProcessPacket(update, 0);
   ASSERT_EQ(emits.size(), 1u);
-  EXPECT_EQ(emits[0].pkt.nc.op, OpCode::kCacheUpdateReject);  // §4.3
+  ExpectInPlaceReply(update, emits[0], OpCode::kCacheUpdateReject);  // §4.3
   EXPECT_FALSE(sw_.IsValid(K(1)));
   EXPECT_EQ(sw_.counters().update_rejects, 1u);
 }
@@ -193,7 +194,7 @@ TEST_F(SwitchTest, UpdateForEvictedKeyStillAcked) {
   update.nc.value = Value::Filler(1, 16);
   auto emits = sw_.ProcessPacket(update, 0);
   ASSERT_EQ(emits.size(), 1u);
-  EXPECT_EQ(emits[0].pkt.nc.op, OpCode::kCacheUpdateAck);
+  ExpectInPlaceReply(update, emits[0], OpCode::kCacheUpdateAck);
 }
 
 TEST_F(SwitchTest, DeleteUpdateLeavesEntryInvalid) {
@@ -210,7 +211,7 @@ TEST_F(SwitchTest, DeleteUpdateLeavesEntryInvalid) {
   update.nc.has_value = false;
   auto emits = sw_.ProcessPacket(update, 0);
   ASSERT_EQ(emits.size(), 1u);
-  EXPECT_EQ(emits[0].pkt.nc.op, OpCode::kCacheUpdateAck);
+  ExpectInPlaceReply(update, emits[0], OpCode::kCacheUpdateAck);
   EXPECT_FALSE(sw_.IsValid(K(1)));
 }
 
@@ -257,6 +258,40 @@ TEST_F(SwitchTest, NonNetCacheTrafficRoutedUntouched) {
   ASSERT_EQ(emits.size(), 1u);
   EXPECT_EQ(emits[0].port, 1u);
   EXPECT_EQ(sw_.counters().netcache_queries, 0u);
+}
+
+TEST_F(SwitchTest, SnakeHopForwardsEveryPacketKind) {
+  // Writes, replies and plain L3 leave through the same forward step as
+  // Gets, so the snake hop applies to them too, after NetCache processing.
+  ASSERT_TRUE(sw_.InsertCacheEntry(K(1), Value::Filler(1, 32), kServerA).ok());
+  sw_.SetSnakeForward(5, 6, /*strip_value=*/true);
+
+  auto put = sw_.ProcessPacket(MakePut(kClient, kServerA, K(1), Value::Filler(2, 32), 1), 5);
+  ASSERT_EQ(put.size(), 1u);
+  EXPECT_EQ(put[0].port, 6u);
+  EXPECT_EQ(put[0].pkt.nc.op, OpCode::kCachedPut);  // invalidated on the way
+
+  Packet plain;
+  plain.is_netcache = false;
+  plain.ip.src = kClient;
+  plain.ip.dst = kServerB;
+  auto fwd = sw_.ProcessPacket(plain, 5);
+  ASSERT_EQ(fwd.size(), 1u);
+  EXPECT_EQ(fwd[0].port, 6u);
+  EXPECT_FALSE(fwd[0].pkt.is_netcache);
+
+  // A server's read reply on a stripping hop is rewound into a fresh Get.
+  Packet reply = MakeReplyShell(MakeGet(kClient, kServerA, K(3), 2));
+  reply.nc.op = OpCode::kGetReply;
+  reply.nc.has_value = true;
+  reply.nc.value = Value::Filler(3, 32);
+  auto rewound = sw_.ProcessPacket(reply, 5);
+  ASSERT_EQ(rewound.size(), 1u);
+  EXPECT_EQ(rewound[0].port, 6u);
+  EXPECT_EQ(rewound[0].pkt.nc.op, OpCode::kGet);
+  EXPECT_FALSE(rewound[0].pkt.nc.has_value);
+  EXPECT_EQ(rewound[0].pkt.ip.dst, kServerA);
+  EXPECT_EQ(sw_.counters().forwarded, 3u);
 }
 
 TEST_F(SwitchTest, WrongL4PortSkipsNetCacheModules) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rack.h"
+#include "reply_contract.h"
 #include "workload/generator.h"
 
 namespace netcache {
@@ -34,10 +35,11 @@ TEST(WriteBackSwitchTest, PutAbsorbedAndAnsweredBySwitch) {
   ASSERT_TRUE(sw.InsertCacheEntry(K(1), Value::Filler(1, 64), kServerA).ok());
 
   Value fresh = Value::Filler(2, 64);
-  auto emits = sw.ProcessPacket(MakePut(kClient, kServerA, K(1), fresh, 9), 4);
+  Packet put = MakePut(kClient, kServerA, K(1), fresh, 9);
+  auto emits = sw.ProcessPacket(put, 4);
   ASSERT_EQ(emits.size(), 1u);
   EXPECT_EQ(emits[0].port, 4u);  // straight back to the client
-  EXPECT_EQ(emits[0].pkt.nc.op, OpCode::kPutReply);
+  ExpectInPlaceReply(put, emits[0], OpCode::kPutReply);
   EXPECT_EQ(emits[0].pkt.nc.seq, 9u);
   EXPECT_TRUE(sw.IsValid(K(1)));  // stays valid, new value served
   EXPECT_TRUE(sw.IsDirty(K(1)));
