@@ -10,6 +10,7 @@ namespace netcache {
 Client::Client(Simulator* sim, std::string name, const ClientConfig& config)
     : Node(std::move(name)), sim_(sim), config_(config) {
   NC_CHECK(sim != nullptr);
+  timeout_lane_ = sim_->OpenLane(this, config_.reply_timeout);
 }
 
 void Client::Get(IpAddress server, const Key& key, ResponseCallback cb) {
@@ -37,8 +38,8 @@ void Client::SendQuery(Packet pkt, ResponseCallback cb) {
   }
   Send(0, pkt);
 
-  // Node-affine: timeouts belong to this client's partition.
-  sim_->ScheduleFor(this, config_.reply_timeout, [this, seq] {
+  // Node-affine: the lane runs in this client's partition.
+  sim_->ScheduleInLane(timeout_lane_, [this, seq] {
     auto it = outstanding_.find(seq);
     if (it == outstanding_.end()) {
       return;  // answered in time

@@ -93,9 +93,14 @@ class Client : public Node {
   void SendQuery(Packet pkt, ResponseCallback cb);
 
   // LP ownership: everything mutable is driven from this client's own events
-  // (queries, replies, timeouts), all scheduled node-affine via ScheduleFor.
+  // (queries, replies, timeouts), all scheduled node-affine: reply timeouts
+  // through the client's lane, which runs in its partition.
   NC_LP_SHARED Simulator* sim_;
   NC_LP_SHARED ClientConfig config_;
+  // Every query arms one reply timeout at the same delay, so thousands stay
+  // pending; a lane keeps them off the simulator's event heap. Opened at
+  // construction, immutable after.
+  NC_LP_SHARED Simulator::Lane* timeout_lane_ = nullptr;
   NC_LP_OWNED uint32_t next_seq_ = 1;
   NC_LP_OWNED std::unordered_map<uint32_t, Pending> outstanding_;
   NC_LP_OWNED ClientStats stats_;

@@ -103,8 +103,8 @@ Rack::Rack(const RackConfig& config)
   }
 
   // Event-queue pressure. The peak is sampled at timestamp advances, which
-  // makes it identical across burst modes and --sim-threads values — the
-  // determinism legs diff these through the metrics JSON byte-for-byte.
+  // makes it identical across --sim-threads values — the determinism legs
+  // diff these through the metrics JSON byte-for-byte.
   metrics_.AddCounter("sim.events_dispatched",
                       [this] { return static_cast<double>(sim_.events_processed()); },
                       {{"component", "sim"}});

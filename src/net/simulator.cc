@@ -24,12 +24,12 @@ inline uint64_t RecWeight(const Simulator::DeliveryRec& r) {
 
 thread_local Simulator::Ctx* Simulator::tls_ctx_ = nullptr;
 
-Simulator::Simulator(size_t reserve_events) {
+Simulator::Simulator() {
   ctxs_.emplace_back();
   legacy_ = &ctxs_[0];
   legacy_->sim = this;
   legacy_->index = 0;
-  legacy_->heap.reserve(reserve_events);
+  legacy_->heap.reserve(kDefaultReserveEvents);
 }
 
 Simulator::~Simulator() { StopWorkers(); }
@@ -76,6 +76,34 @@ void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
     dest = &ctxs_[rec.node->lp()];
   }
   Route(*c, *dest, Event{at, NextKey(*c), rec});
+}
+
+Simulator::Lane* Simulator::OpenLane(Node* node, SimDuration delay) {
+  NC_CHECK(!partitioned_) << node->name()
+                          << " opens a lane after ConfigurePartitions; lanes are "
+                             "wiring-time state";
+  Lane& lane = lanes_.emplace_back();
+  lane.node = node;
+  lane.delay = delay;
+  lane.ctx = legacy_;
+  legacy_->lanes.push_back(&lane);
+  return &lane;
+}
+
+void Simulator::ScheduleInLane(Lane* lane, EventFn fn) {
+  Ctx* c = cur();
+  Ctx& to = *lane->ctx;
+  Event ev{c->now + lane->delay, NextKey(*c), std::move(fn)};
+  std::deque<Event>& q = lane->events;
+  // The ScheduleAtFor path, taken when the lane cannot hold the event: it
+  // would sort before the tail (a same-instant append stamped from a lower
+  // stream), or another LP's worker owns the lane during this round.
+  if ((in_window_ && c != &to) || (!q.empty() && ev.Before(q.back()))) {
+    Route(*c, to, std::move(ev));
+    return;
+  }
+  q.push_back(std::move(ev));
+  ++to.lane_events;
 }
 
 void Simulator::Route(Ctx& from, Ctx& to, Event ev) {
@@ -145,6 +173,21 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
     c.touched.reserve(n);
   }
   legacy_ = &ctxs_[0];
+  // Every lane moves to its node's LP. Events it already holds were
+  // scheduled in serial mode, i.e. into the global stream, so they stay
+  // there.
+  legacy_->lanes.clear();
+  for (Lane& lane : lanes_) {
+    NC_CHECK(lane.node->lp() <= num_lps)
+        << lane.node->name() << " labeled with partition beyond num_lps";
+    for (Event& ev : lane.events) {
+      PushHeap(*legacy_, std::move(ev));
+    }
+    legacy_->lane_events -= lane.events.size();
+    lane.events.clear();
+    lane.ctx = &ctxs_[lane.node->lp()];
+    lane.ctx->lanes.push_back(&lane);
+  }
   // Per-LP channel clocks need the transitive closure of link propagation
   // delays: influence can relay through an idle intermediate LP, so a
   // horizon derived from direct in-edges alone would be unsound.
@@ -206,12 +249,12 @@ void Simulator::RunUntil(SimTime until) {
     return;
   }
   Ctx& c = *legacy_;
-  while (!c.heap.empty() && c.heap.front().time <= until) {
-    if (c.heap.front().time != c.now) {
+  for (const Event* next = Peek(c); next != nullptr && next->time <= until; next = Peek(c)) {
+    if (next->time != c.now) {
       SamplePeak(c);
     }
     // Move the event out before running so the handler may schedule freely.
-    Event ev = PopHeap(c);
+    Event ev = Take(c);
     c.now = ev.time;
     ++c.events;
     DispatchIn(c, ev, /*coalesce=*/true);
@@ -227,11 +270,11 @@ void Simulator::RunAll() {
     return;
   }
   Ctx& c = *legacy_;
-  while (!c.heap.empty()) {
-    if (c.heap.front().time != c.now) {
+  for (const Event* next = Peek(c); next != nullptr; next = Peek(c)) {
+    if (next->time != c.now) {
       SamplePeak(c);
     }
-    Event ev = PopHeap(c);
+    Event ev = Take(c);
     c.now = ev.time;
     ++c.events;
     DispatchIn(c, ev, /*coalesce=*/true);
@@ -251,12 +294,10 @@ void Simulator::RunWindowed(SimTime until) {
       CollectOutboxes();
       SimTime t0 = kNeverTime;
       for (size_t i = 1; i < ctxs_.size(); ++i) {
-        const Ctx& c = ctxs_[i];
-        SimTime t = c.heap.empty() ? kNeverTime : c.heap.front().time;
-        next_[i] = std::min(t, mail_min_[i]);
+        next_[i] = std::min(NextTime(ctxs_[i]), mail_min_[i]);
         t0 = std::min(t0, next_[i]);
       }
-      tg = ctxs_[0].heap.empty() ? kNeverTime : ctxs_[0].heap.front().time;
+      tg = NextTime(ctxs_[0]);
       t0 = std::min(t0, tg);
       if (t0 == kNeverTime || t0 > until) {
         // Leave every event in a heap so PendingEvents and a later RunUntil
@@ -387,7 +428,7 @@ bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
       horizon = std::min(horizon, nj + d);
     }
     bool mail = mail_min_[i] != kNeverTime;
-    bool work = !c.heap.empty() && c.heap.front().time < horizon;
+    bool work = NextTime(c) < horizon;
     if (!mail && !work) {
       continue;  // idle LP: skips the round entirely, no stall spin
     }
@@ -453,12 +494,15 @@ void Simulator::RunSerialInstant(SimTime t) {
   uint64_t executed = 0;
   for (;;) {
     Ctx* best = nullptr;
+    uint64_t best_key = 0;
     for (Ctx& c : ctxs_) {
-      if (c.heap.empty() || c.heap.front().time != t) {
+      const Event* next = Peek(c);
+      if (next == nullptr || next->time != t) {
         continue;
       }
-      if (best == nullptr || c.heap.front().key < best->heap.front().key) {
+      if (best == nullptr || next->key < best_key) {
         best = &c;
+        best_key = next->key;
       }
     }
     if (best == nullptr) {
@@ -467,7 +511,7 @@ void Simulator::RunSerialInstant(SimTime t) {
     if (best->now != t) {
       SamplePeak(*best);
     }
-    Event ev = PopHeap(*best);
+    Event ev = Take(*best);
     best->now = t;
     ++best->events;
     ++executed;
@@ -523,7 +567,8 @@ void Simulator::RunLpWindow(Ctx& lp) {
   lp::ScopedExecutor lp_exec(lp.index);
   DrainInbox(lp);
   const SimTime wend = lp.wend;
-  if (lp.heap.empty() || lp.heap.front().time >= wend) {
+  const Event* next = Peek(lp);
+  if (next == nullptr || next->time >= wend) {
     // Participated (mail forced the turn) but nothing executable below the
     // horizon. Counted (sim metric + profiler histogram bin 0) but never
     // timed — stalls are too cheap to clock.
@@ -536,14 +581,15 @@ void Simulator::RunLpWindow(Ctx& lp) {
     ProfScope prof(ProfCat::kLpExecute, lp.index);
     uint64_t before = lp.events;
     do {
-      if (lp.heap.front().time != lp.now) {
+      if (next->time != lp.now) {
         SamplePeak(lp);
       }
-      Event ev = PopHeap(lp);
+      Event ev = Take(lp);
       lp.now = ev.time;
       ++lp.events;
       DispatchIn(lp, ev, /*coalesce=*/true);
-    } while (!lp.heap.empty() && lp.heap.front().time < wend);
+      next = Peek(lp);
+    } while (next != nullptr && next->time < wend);
     prof.set_arg(lp.events - before);
   }
   tls_ctx_ = prev;
@@ -679,13 +725,13 @@ void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
     // later timestamp, another destination — ends the batch, which is what
     // makes burst processing output-equivalent to the sequential schedule
     // (see the header comment). In parallel mode a node's deliveries all land
-    // in its own LP heap, so LP-local adjacency is global adjacency.
-    while (!c.heap.empty()) {
-      const Event& front = c.heap.front();
-      if (!front.is_delivery || front.time != c.now || front.del.node != first.node) {
+    // in its own LP heap, so LP-local adjacency is global adjacency. A lane
+    // event is a closure, so one that sorts next ends the batch too.
+    for (const Event* front = Peek(c); front != nullptr; front = Peek(c)) {
+      if (!front->is_delivery || front->time != c.now || front->del.node != first.node) {
         break;
       }
-      Event next = PopHeap(c);
+      Event next = Take(c);
       c.events += RecWeight(next.del);  // each coalesced delivery still counts
       c.batch.push_back(next.del);
     }
@@ -741,7 +787,7 @@ void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
 size_t Simulator::PendingEvents() const {
   size_t n = 0;
   for (const Ctx& c : ctxs_) {
-    n += c.heap.size() + c.heap_extra;
+    n += c.heap.size() + c.heap_extra + c.lane_events;
     for (const OutBucket& bucket : c.out) {
       // Outbox mail is rare enough to weigh per event (burst records count
       // as their group size, matching the heap accounting above).
@@ -807,6 +853,33 @@ void Simulator::PushHeap(Ctx& c, Event ev) {
     hole = parent;
   } while (hole > 0 && tmp.Before(q[(hole - 1) / 2]));
   q[hole] = std::move(tmp);
+}
+
+const Simulator::Event* Simulator::Peek(Ctx& c) {
+  const Event* best = c.heap.empty() ? nullptr : &c.heap.front();
+  c.peeked_lane = nullptr;
+  for (Lane* lane : c.lanes) {
+    if (lane->events.empty()) {
+      continue;
+    }
+    const Event& front = lane->events.front();
+    if (best == nullptr || front.Before(*best)) {
+      best = &front;
+      c.peeked_lane = lane;
+    }
+  }
+  return best;
+}
+
+Simulator::Event Simulator::Take(Ctx& c) {
+  Lane* lane = c.peeked_lane;
+  if (lane == nullptr) {
+    return PopHeap(c);
+  }
+  Event ev = std::move(lane->events.front());
+  lane->events.pop_front();
+  --c.lane_events;
+  return ev;
 }
 
 Simulator::Event Simulator::PopHeap(Ctx& c) {

@@ -9,9 +9,19 @@
 // Hot-path design (the per-event cost bounds every packet-level experiment):
 //   - events hold an InlineFunction, so closures up to kInlineFunctionBytes
 //     capture bytes never touch the heap (std::function allocated per event);
-//   - each queue is an explicit binary heap over a reservable vector, so a
-//     steady-state run performs zero queue allocations and pops move events
-//     out instead of copying them (std::priority_queue::top forces a copy);
+//   - each context's general queue is an explicit binary heap over a vector
+//     reserved up front, so a steady-state run performs zero heap
+//     allocations and pops move events out instead of copying them
+//     (std::priority_queue::top forces a copy);
+//   - a producer that keeps thousands of events pending at one constant
+//     delay (a client's reply timeouts) schedules them into a lane instead
+//     (OpenLane / ScheduleInLane): a FIFO that is in (time, key) order by
+//     construction, so an append or a pop moves one event and never sifts.
+//     Lane storage is a std::deque, whose blocks come from the allocator;
+//   - every dispatcher reads the next event through one Peek/Take pair that
+//     merges the heap front with the context's lane fronts in (time, key)
+//     order, so the pop sequence is exactly that of a single heap holding
+//     every pending event;
 //   - a per-partition PacketPool recycles the Packet buffers that in-flight
 //     closures reference (see net/packet_pool.h);
 //   - packet deliveries are typed events (DeliveryRec in a union with the
@@ -47,8 +57,8 @@
 //     no fences at all.
 //   - adaptive rounds (per-LP horizons, null-message-free Chandy–Misra-style
 //     conservative sync): with next_j the earliest pending event time of LP j
-//     (heap front or undelivered cross-LP mail addressed to j, whichever is
-//     earlier), every LP i gets its own safe horizon
+//     (its next event by Peek, or undelivered cross-LP mail addressed to j,
+//     whichever is earlier), every LP i gets its own safe horizon
 //
 //         horizon_i = min( tg,                      // next global event
 //                          t0 + G,                  // earliest possible NEW
@@ -76,10 +86,10 @@
 // so the coordinator's boundary section only skims bucket minima (O(LPs)),
 // not every staged event. An LP with pending mail always participates in the
 // next round, which is what bounds every bucket's lifetime to one round per
-// side. Because keys are a total order, a binary heap's pop sequence depends
-// only on its content set, so merge order is irrelevant and the parallel run
-// is byte-identical to the same round schedule on one thread
-// (--sim-threads=1).
+// side. Because keys are a total order, a context's pop sequence (heap and
+// lanes merged by Peek) depends only on its content set, so merge order is
+// irrelevant and the parallel run is byte-identical to the same round
+// schedule on one thread (--sim-threads=1).
 //
 // Cross-LP scheduling contract (enforced fatally at drain time): a packet
 // delivery satisfies it by construction; a direct cross-LP ScheduleAtFor
@@ -158,9 +168,11 @@ class Simulator {
     EgressBurst* burst = nullptr;
   };
 
-  // `reserve_events` pre-sizes the event heap; steady-state runs should never
-  // grow it. The default comfortably covers a busy single-rack simulation.
-  explicit Simulator(size_t reserve_events = kDefaultReserveEvents);
+  // A constant-delay event lane (see OpenLane). Callers hold only the
+  // pointer; the definition follows Ctx, whose events it stores.
+  struct Lane;
+
+  Simulator();
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -203,6 +215,19 @@ class Simulator {
     ScheduleGlobalAt(Now() + delay, std::move(fn));
   }
   void ScheduleGlobalAt(SimTime at, EventFn fn);
+
+  // Opens a lane for events that all run `delay` ns after they are
+  // scheduled, in `node`'s partition. Call at wiring time, before
+  // ConfigurePartitions, which moves every lane to its node's partition.
+  // The Simulator owns the lane.
+  Lane* OpenLane(Node* node, SimDuration delay);
+
+  // ScheduleFor(lane's node, lane's delay, fn) with the same key, pop order
+  // and pending counts, but the event joins the lane's FIFO instead of the
+  // heap. An append that would sort before the lane's tail (a same-instant
+  // schedule from a lower stream), or one made inside a round from another
+  // LP, takes the ordinary heap/outbox path, so order stays exact.
+  void ScheduleInLane(Lane* lane, EventFn fn);
 
   // Schedules a packet delivery at absolute time `at` (Link::Transmit's
   // delivery leg). Runs in the destination node's partition.
@@ -254,10 +279,6 @@ class Simulator {
   }
   void ReleaseEgressBurst(EgressBurst* g) { cur()->burst_free.push_back(g); }
 
-  // Grows the global event heap to hold at least `capacity` pending events
-  // without reallocating mid-run.
-  void ReserveEvents(size_t capacity) { ctxs_[0].heap.reserve(capacity); }
-
   // Runs events until every queue is empty or simulated time would exceed
   // `until`. Events at exactly `until` are executed.
   void RunUntil(SimTime until);
@@ -265,8 +286,9 @@ class Simulator {
   // Runs until the event queues drain completely.
   void RunAll();
 
+  // Events in every heap, lane and outbox; a burst record counts as its
+  // packets.
   size_t PendingEvents() const;
-  size_t EventCapacity() const { return ctxs_[0].heap.capacity(); }
 
   // Total events executed since construction. Deterministic for a fixed seed,
   // so benches report it as their work measure (events/sec). Every delivery
@@ -280,14 +302,15 @@ class Simulator {
   uint64_t bursts_dispatched() const;
   uint64_t burst_packets() const;
 
-  // Event-queue pressure, exported as sim.* metrics by Rack. The peak is
-  // sampled when the dispatcher advances to a new timestamp — NOT per push —
-  // so it is identical across --sim-threads values (the determinism legs diff metrics JSON
-  // byte-for-byte). A window stall is a round an LP participated in (forced
-  // by pending mail) but found no event below its horizon; a merged window
-  // is a round whose per-LP horizon exceeded the legacy global
-  // min(T0)+lookahead window end. Both are schedule properties, identical
-  // across worker counts.
+  // Event-queue pressure, exported as sim.* metrics by Rack. The peak counts
+  // one context's heap and lane events together and is sampled when the
+  // dispatcher advances to a new timestamp — NOT per push — so it is
+  // identical across --sim-threads values (the determinism legs diff
+  // metrics JSON byte-for-byte). A window stall is a round an LP
+  // participated in (forced by pending mail) but found no event below its
+  // horizon; a merged window is a round whose per-LP horizon exceeded the
+  // legacy global min(T0)+lookahead window end. Both are schedule
+  // properties, identical across worker counts.
   uint64_t event_queue_peak() const;
   uint64_t lp_window_stalls(size_t lp) const { return ctxs_[lp].stalls; }
   uint64_t lp_windows_merged(size_t lp) const { return ctxs_[lp].windows_merged; }
@@ -406,6 +429,12 @@ class Simulator {
     // packets, not records, for event_queue_peak and PendingEvents.
     // Maintained by PushHeap/PopHeap.
     NC_LP_OWNED uint64_t heap_extra = 0;
+    // Lanes living in this context (wiring-time list, see OpenLane), the
+    // events they hold, and the lane the last Peek's event sits in (nullptr:
+    // the heap front), which is where Take pops from.
+    NC_LP_SHARED std::vector<Lane*> lanes;
+    NC_LP_OWNED uint64_t lane_events = 0;
+    NC_LP_OWNED Lane* peeked_lane = nullptr;
     // Transmit-group buffer pool shard (see AcquireEgressBurst). The arena
     // owns storage — pointer-stable, freed wholesale at destruction, so a
     // group still sitting in a queue at teardown leaks nothing. The freelist
@@ -415,6 +444,19 @@ class Simulator {
     NC_LP_OWNED std::vector<EgressBurst*> burst_free;
   };
 
+ public:
+  // One constant-delay lane: every event in it was scheduled `delay` ns ahead
+  // by ScheduleInLane, so appends arrive in (time, key) order and the deque
+  // stays sorted without a sift. It lives in one context at a time — the
+  // global one until ConfigurePartitions moves it to its node's LP.
+  struct Lane {
+    NC_LP_SHARED Node* node = nullptr;  // wiring-time, immutable after setup
+    NC_LP_SHARED SimDuration delay = 0;
+    NC_LP_SHARED Ctx* ctx = nullptr;    // moved by ConfigurePartitions
+    NC_LP_OWNED std::deque<Event> events;
+  };
+
+ private:
   // Sense-reversing tree barrier node (arity kBarrierArity), padded to a
   // cache line so sibling arrivals don't false-share. The "sense" is the
   // round's epoch: the coordinator zeroes all counts before releasing the
@@ -428,6 +470,17 @@ class Simulator {
   // burst records passing through (see Ctx::heap_extra).
   static void PushHeap(Ctx& c, Event ev);
   static Event PopHeap(Ctx& c);
+
+  // The one dispatch rule: Peek returns c's next event in (time, key) order —
+  // the heap front or the earliest lane front — or nullptr when c holds
+  // none; Take pops the event the last Peek(c) returned. Nothing may be
+  // scheduled into c between the two.
+  static const Event* Peek(Ctx& c);
+  static Event Take(Ctx& c);
+  static SimTime NextTime(Ctx& c) {
+    const Event* ev = Peek(c);
+    return ev == nullptr ? kNeverTime : ev->time;
+  }
 
   // The executing context: the global stream unless a round worker or a
   // serial-instant dispatch installed an LP on this thread. The sim match
@@ -464,7 +517,7 @@ class Simulator {
   void WorkerMain(size_t slot);
   void BarrierArrive(size_t worker, uint64_t epoch);
   void SamplePeak(Ctx& c) {
-    size_t sz = c.heap.size() + c.heap_extra;
+    size_t sz = c.heap.size() + c.heap_extra + c.lane_events;
     if (sz > c.peak) {
       c.peak = sz;
     }
@@ -486,6 +539,7 @@ class Simulator {
   NC_LP_SHARED std::deque<Ctx> ctxs_;  // deque: Ctx owns a PacketPool and must never move
   NC_LP_SHARED Ctx* legacy_ = nullptr;  // &ctxs_[0]
   NC_LP_SHARED std::vector<Link*> links_;  // wiring-time registry
+  NC_LP_SHARED std::deque<Lane> lanes_;   // wiring-time; deque: lanes never move
 
   // Per-link-clock state, coordinator-only between rounds: all-pairs
   // shortest-path propagation distances (wiring-time, immutable after

@@ -471,16 +471,27 @@ TEST(SimulatorBurstTest, LoneDeliveriesAreOnePacketBursts) {
 TEST(SimulatorBurstTest, PlainEventBreaksBatch) {
   // A closure event scheduled between two same-instant deliveries must act
   // as a barrier: its side effects may observe the first delivery's state.
-  Simulator sim;
-  RecordingNode node(&sim);
-  int fired_after = -1;
-  sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 0));
-  sim.ScheduleAt(100, [&] { fired_after = static_cast<int>(node.seqs_.size()); });
-  sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 1));
-  sim.RunAll();
-  EXPECT_EQ(node.burst_sizes_, (std::vector<size_t>{1, 1}));
-  EXPECT_EQ(fired_after, 1);  // ran between the two deliveries
-  EXPECT_EQ(sim.bursts_dispatched(), 0u);
+  // The closure waits in the heap (ScheduleAt) or in a lane, whose front the
+  // coalescing test must see as well.
+  for (bool in_lane : {false, true}) {
+    SCOPED_TRACE(in_lane ? "lane" : "heap");
+    Simulator sim;
+    RecordingNode node(&sim);
+    int fired_after = -1;
+    auto barrier = [&] { fired_after = static_cast<int>(node.seqs_.size()); };
+    Simulator::Lane* lane = sim.OpenLane(&node, 100);
+    sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 0));
+    if (in_lane) {
+      sim.ScheduleInLane(lane, barrier);  // Now() is 0: lands at t=100
+    } else {
+      sim.ScheduleAt(100, barrier);
+    }
+    sim.ScheduleDeliveryAt(100, Rec(sim, &node, 0, 1));
+    sim.RunAll();
+    EXPECT_EQ(node.burst_sizes_, (std::vector<size_t>{1, 1}));
+    EXPECT_EQ(fired_after, 1);  // ran between the two deliveries
+    EXPECT_EQ(sim.bursts_dispatched(), 0u);
+  }
 }
 
 // ------------------------------------------------- link egress coalescing

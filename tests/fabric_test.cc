@@ -2,8 +2,16 @@
 // across tiers, spine-cache hits that never enter the destination rack,
 // leaf-cache rack locality, and heavy-hitter adoption at the spine.
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "client/workload_driver.h"
+#include "common/json_writer.h"
+#include "common/metrics.h"
 #include "core/fabric.h"
 #include "workload/generator.h"
 
@@ -135,6 +143,86 @@ TEST(FabricTest, SpineControllerAdoptsHotKey) {
   EXPECT_GT(fabric.spine(0).counters().cache_hits, 0u);
   // Spine 1 never saw this traffic, so it did not cache the key.
   EXPECT_FALSE(fabric.spine(1).IsCached(K(9)));
+}
+
+// Everything a partitioned fabric run leaves observable: the client, server
+// and switch metrics (latency histograms included) as JSON, plus the
+// simulator's event count and queue peak.
+struct FabricOutcome {
+  std::string metrics;
+  uint64_t events = 0;
+  uint64_t queue_peak = 0;
+  uint64_t completed = 0;
+};
+
+FabricOutcome RunPartitionedFabric(size_t sim_threads) {
+  FabricConfig cfg = SmallFabric(FabricCacheMode::kSpineOnly);
+  cfg.sim_threads = sim_threads;
+  Fabric fabric(cfg);
+  EXPECT_TRUE(fabric.sim().partitioned());
+  fabric.Populate(1000, 64);
+  std::vector<std::unique_ptr<WorkloadGenerator>> gens;
+  std::vector<std::unique_ptr<WorkloadDriver>> drivers;
+  DriverConfig dc;
+  dc.rate_qps = 200e3;
+  for (size_t s = 0; s < fabric.num_clients(); ++s) {
+    WorkloadConfig wl;
+    wl.num_keys = 1000;
+    wl.zipf_alpha = 0.99;
+    wl.seed = 11 + s;
+    gens.push_back(std::make_unique<WorkloadGenerator>(wl));
+    drivers.push_back(std::make_unique<WorkloadDriver>(
+        &fabric.sim(), &fabric.client(s), gens.back().get(), fabric.OwnerFn(), dc));
+  }
+  std::vector<Key> hot;
+  for (uint64_t id : gens[0]->popularity().TopKeys(32)) {
+    hot.push_back(K(id));
+  }
+  fabric.WarmCaches(hot);
+  for (auto& d : drivers) {
+    d->Start();
+  }
+  fabric.sim().RunUntil(20 * kMillisecond);
+  FabricOutcome out;
+  for (auto& d : drivers) {
+    d->Stop();
+    out.completed += d->completed();
+  }
+  fabric.sim().RunUntil(30 * kMillisecond);
+
+  MetricsRegistry registry;
+  for (size_t s = 0; s < fabric.num_clients(); ++s) {
+    fabric.client(s).RegisterMetrics(registry, "client." + std::to_string(s));
+    fabric.spine(s).RegisterMetrics(registry, "spine." + std::to_string(s));
+  }
+  for (size_t r = 0; r < cfg.num_racks; ++r) {
+    fabric.tor(r).RegisterMetrics(registry, "tor." + std::to_string(r));
+  }
+  for (size_t g = 0; g < fabric.num_servers(); ++g) {
+    fabric.server(g).RegisterMetrics(registry, "server." + std::to_string(g));
+  }
+  std::ostringstream json;
+  JsonWriter w(json);
+  w.BeginObject();
+  registry.WriteJson(w);
+  w.EndObject();
+  out.metrics = json.str();
+  out.events = fabric.sim().events_processed();
+  out.queue_peak = fabric.sim().event_queue_peak();
+  return out;
+}
+
+TEST(FabricTest, PartitionedRunIdenticalAcrossThreadCounts) {
+  // Each spine client keeps its reply timeouts in a lane in its spine's LP.
+  // The round schedule depends on event content alone, so 1 and 4 workers
+  // must agree on every counter, histogram, event count and queue peak.
+  FabricOutcome one = RunPartitionedFabric(1);
+  FabricOutcome four = RunPartitionedFabric(4);
+  EXPECT_GT(one.completed, 4000u);
+  EXPECT_EQ(one.completed, four.completed);
+  EXPECT_EQ(one.metrics, four.metrics);
+  EXPECT_EQ(one.events, four.events);
+  EXPECT_EQ(one.queue_peak, four.queue_peak);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Tests for the discrete-event simulator, links and nodes.
 
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/lp_ownership.h"
+#include "common/rng.h"
 #include "net/link.h"
 #include "net/node.h"
 #include "net/simulator.h"
@@ -68,6 +71,108 @@ class SinkNode : public Node {
   }
   std::vector<std::pair<Packet, uint32_t>> received;
 };
+
+// What a seeded event mix leaves observable: the firing order, the pending
+// count at each checkpoint, the queue peak and the final clock.
+struct MixRun {
+  std::vector<int> order;
+  std::vector<size_t> pending;
+  uint64_t peak = 0;
+  SimTime now = 0;
+};
+
+// A seeded tree of events: every event records its id and may spawn children
+// into one of two lanes (delays 70 and 250), a plain Schedule at a lane's
+// delay (a same-instant tie with that lane), a ScheduleAt(Now()) tie, or a
+// random delay. With `use_lanes` false the lane children go through
+// ScheduleFor with the lane's delay instead, which is the heap-only twin.
+// `partitioned` puts the lanes' nodes in LPs 1 and 2 (one worker, so the
+// shared log and RNG stay single-threaded) behind a 70 ns link, which every
+// cross-LP child's delay covers; the top-level roots stay in the global
+// stream, so serial instants and rounds interleave.
+MixRun RunLaneMix(bool use_lanes, uint64_t seed, bool partitioned) {
+  constexpr SimDuration kDelayX = 70;
+  constexpr SimDuration kDelayY = 250;
+  Simulator sim;
+  SinkNode x("x");
+  SinkNode y("y");
+  LinkConfig cfg;
+  cfg.propagation = kDelayX;
+  Link link(&sim, cfg);
+  link.Connect(&x, 0, &y, 0);
+  Simulator::Lane* lane_x = sim.OpenLane(&x, kDelayX);
+  Simulator::Lane* lane_y = sim.OpenLane(&y, kDelayY);
+  if (partitioned) {
+    x.set_lp(1);
+    y.set_lp(2);
+    EXPECT_TRUE(sim.ConfigurePartitions(2, 1));
+  }
+  Rng rng(seed);
+  MixRun run;
+  int next_id = 0;
+  std::function<void(int)> spawn = [&](int depth) {
+    int id = next_id++;
+    Simulator::EventFn fn = [&, id, depth] {
+      run.order.push_back(id);
+      if (depth < 6) {
+        for (uint64_t n = rng.NextBounded(3); n > 0; --n) {
+          spawn(depth + 1);
+        }
+      }
+    };
+    switch (rng.NextBounded(5)) {
+      case 0:
+        use_lanes ? sim.ScheduleInLane(lane_x, std::move(fn))
+                  : sim.ScheduleFor(&x, kDelayX, std::move(fn));
+        break;
+      case 1:
+        use_lanes ? sim.ScheduleInLane(lane_y, std::move(fn))
+                  : sim.ScheduleFor(&y, kDelayY, std::move(fn));
+        break;
+      case 2:
+        sim.Schedule(kDelayX, std::move(fn));
+        break;
+      case 3:
+        sim.ScheduleAt(sim.Now(), std::move(fn));
+        break;
+      default:
+        sim.Schedule(rng.NextBounded(300), std::move(fn));
+        break;
+    }
+  };
+  for (int root = 0; root < 40; ++root) {
+    spawn(0);
+  }
+  for (SimTime checkpoint : {0, 70, 100, 250, 400, 700, 1000}) {
+    sim.RunUntil(checkpoint);
+    run.pending.push_back(sim.PendingEvents());
+  }
+  sim.RunAll();
+  run.pending.push_back(sim.PendingEvents());
+  run.peak = sim.event_queue_peak();
+  run.now = sim.Now();
+  return run;
+}
+
+TEST(SimulatorTest, LaneEventsFireInScheduleForOrder) {
+  // Lanes only change where events wait, never when they fire: a seeded mix
+  // of lane, heap and same-instant events must run in exactly the order of
+  // its all-ScheduleFor twin, with the same pending counts and queue peak,
+  // on the serial dispatcher and in LP rounds alike.
+  for (bool partitioned : {false, true}) {
+    for (uint64_t seed : {1, 2, 3, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (partitioned ? "partitioned" : "serial") << " seed " << seed);
+      MixRun lanes = RunLaneMix(true, seed, partitioned);
+      MixRun twin = RunLaneMix(false, seed, partitioned);
+      ASSERT_GT(twin.order.size(), 100u);
+      EXPECT_EQ(lanes.order, twin.order);
+      EXPECT_EQ(lanes.pending, twin.pending);
+      EXPECT_EQ(lanes.peak, twin.peak);
+      EXPECT_EQ(lanes.now, twin.now);
+    }
+  }
+}
 
 TEST(LinkTest, DeliversWithSerializationAndPropagation) {
   Simulator sim;
@@ -260,6 +365,80 @@ TEST(ParallelSimTest, IdleLpSkipsRoundsAndBusyLpsMergeWindows) {
   // 250us, which would be >600 fixed 400ns windows even if fully idle ones
   // were free.
   EXPECT_LT(sim.windows_run(), 4u * kPackets);
+}
+
+// One lane event as its LP saw it.
+struct LaneFiring {
+  int id;
+  SimTime time;
+  uint32_t lp;
+  bool operator==(const LaneFiring& o) const {
+    return id == o.id && time == o.time && lp == o.lp;
+  }
+};
+
+// Lanes on a (LP 1, delay 200) and b (LP 2, delay 500, above the 400 ns
+// link distance), opened before ConfigurePartitions. Each node's own events
+// fill its lane. Three appends join b's lane for t=600 out of stream order:
+// two from b's own events at t=100, then one from a's LP inside the same
+// round, then one from the top level after RunUntil(100). A third lane on b
+// takes one event before ConfigurePartitions, which, like a ScheduleFor
+// made then, stays in the global stream.
+std::vector<std::vector<LaneFiring>> RunPartitionedLanes(size_t sim_threads) {
+  Simulator sim;
+  SinkNode a("a");
+  SinkNode b("b");
+  a.set_lp(1);
+  b.set_lp(2);
+  LinkConfig cfg;
+  cfg.propagation = 400;
+  Link link(&sim, cfg);
+  link.Connect(&a, 0, &b, 0);
+  Simulator::Lane* lane_a = sim.OpenLane(&a, 200);
+  Simulator::Lane* lane_b = sim.OpenLane(&b, 500);
+  Simulator::Lane* lane_c = sim.OpenLane(&b, 777);
+
+  // One log per LP: at sim_threads 2 the LPs run on different threads.
+  std::vector<std::vector<LaneFiring>> fired(3);
+  auto arm = [&](Simulator::Lane* lane, uint32_t lp, int id) {
+    sim.ScheduleInLane(lane, [&sim, &fired, lp, id] {
+      fired[lp].push_back(LaneFiring{id, sim.Now(), lp::CurrentLp()});
+    });
+  };
+  arm(lane_c, 2, 70);
+  EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+  for (int i = 0; i < 4; ++i) {
+    SimTime at = static_cast<SimTime>(i) * 50;
+    sim.ScheduleAtFor(&a, at, [&arm, lane_a, i] { arm(lane_a, 1, i); });
+    sim.ScheduleAtFor(&b, at, [&arm, lane_b, i] { arm(lane_b, 2, 10 + i); });
+  }
+  sim.ScheduleAtFor(&b, 100, [&arm, lane_b] { arm(lane_b, 2, 20); });
+  sim.ScheduleAtFor(&a, 100, [&arm, lane_b] { arm(lane_b, 2, 40); });
+  sim.RunUntil(100);
+  arm(lane_b, 2, 30);
+  sim.RunAll();
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  return fired;
+}
+
+TEST(ParallelSimTest, LaneRunsInItsNodesLpInKeyOrder) {
+  std::vector<std::vector<LaneFiring>> one = RunPartitionedLanes(1);
+  std::vector<std::vector<LaneFiring>> two = RunPartitionedLanes(2);
+  EXPECT_EQ(one, two);
+  // Lane events run inside their node's LP rounds, not in the global stream.
+  EXPECT_EQ(one[1], (std::vector<LaneFiring>{
+                        {0, 200, 1}, {1, 250, 1}, {2, 300, 1}, {3, 350, 1}}));
+  // At t=600 the stream-0 top-level append fires first, then a's stream-1
+  // one, then b's own two: (time, key) order, not append order. The
+  // pre-partition event runs in a serial instant (LP 0).
+  EXPECT_EQ(one[2], (std::vector<LaneFiring>{{10, 500, 2},
+                                             {11, 550, 2},
+                                             {30, 600, 2},
+                                             {40, 600, 2},
+                                             {12, 600, 2},
+                                             {20, 600, 2},
+                                             {13, 650, 2},
+                                             {70, 777, 0}}));
 }
 
 }  // namespace
