@@ -26,7 +26,7 @@
 // including `sim_threads_effective`, which DES benches set to what actually
 // ran (RecordEffectiveSimThreads) when e.g. a zero-lookahead topology forces
 // the serial-dispatcher fallback — along with `simd_level` ("sse2" |
-// "scalar"), the build's vector level. scripts/bench_regress.py refuses
+// "scalar"), the target's baseline vector ISA. scripts/bench_regress.py refuses
 // to compare documents whose run configs differ, so a parallel run can never
 // be graded against a serial baseline (or vice versa), nor an x86-64 run
 // against a non-x86 one, nor against a run whose parallel request silently

@@ -234,7 +234,7 @@ BENCHMARK(BM_SwitchReadMiss);
 // --- Harness trials: burst read-hit throughput, gated by bench_regress.py ---
 //
 // One timed trial per value size drives the full burst fast path (batched
-// ingress digests, grouped table probes, batched sketch updates on the ~0
+// ingress digests, table probes, batched sketch updates on the ~0
 // misses, the one-call value gather). events_per_sec feeds the --perf
 // one-sided gate against the committed BENCH_fig09_baseline.json, so a
 // change that wrecks the batched pipeline fails CI. cache_hits is the

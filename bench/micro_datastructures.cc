@@ -190,10 +190,9 @@ void BM_FlatTableFind(benchmark::State& state) {
 BENCHMARK(BM_FlatTableFind);
 
 // Same probe workload near the 7/8 growth ceiling (~87% load), where the
-// robin-hood chains are long enough that the load-aware choice in
-// FlatTable::Locate switches to the 16-way grouped control-byte scan.
-// BM_FlatTableFind above sits at 50% load and takes the slot-by-slot walk;
-// this is the regime the grouped probe exists for.
+// robin-hood chains are longest: the cost of FlatTable::Locate's walk at
+// the densest layout the table allows. BM_FlatTableFind above sits at 50%
+// load.
 void BM_FlatTableFindHighLoad(benchmark::State& state) {
   FlatTable<Key, uint64_t, KeyHasher> table;
   constexpr uint64_t kKeys = 57000;  // 65536-slot table, no growth past it
@@ -528,10 +527,9 @@ void RunBurstTrials(bench::BenchHarness& harness) {
   }
 }
 
-// --- SketchBatch / TableGroupProbe trials: the burst path's batched sketch
-// updates and the high-load grouped table probe. The checksum pins the
-// results (deterministic for the fixed streams below); the wall_ms/events
-// pair feeds the --perf gate.
+// --- SketchBatch trial: the burst path's batched sketch updates. The
+// checksum pins the results (deterministic for the fixed stream below); the
+// wall_ms/events pair feeds the --perf gate.
 
 constexpr size_t kBatchTrialKeys = 1'000'000;
 constexpr size_t kBatchTrialBurst = 32;
@@ -620,35 +618,6 @@ void RunServeStageTrial(bench::BenchHarness& harness) {
   trial.Config("reads", static_cast<double>(kServeTrialReads))
       .Config("burst", static_cast<double>(kServeTrialBurst));
   uint64_t acc = RunServeStagePass(trial);
-  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
-}
-
-constexpr size_t kProbeTrialEntries = 50'000;
-constexpr size_t kProbeTrialLookups = 2'000'000;
-
-uint64_t RunTableProbePass(bench::TrialRecord& trial) {
-  FlatTable<Key, uint32_t, KeyHasher> t;
-  for (uint64_t i = 0; i < kProbeTrialEntries; ++i) {
-    t.Upsert(Key::FromUint64(i), static_cast<uint32_t>(i));
-  }
-  Rng rng(43);
-  uint64_t acc = 0;
-  bench::TrialTimer timer(&trial);
-  for (size_t i = 0; i < kProbeTrialLookups; ++i) {
-    // ~20% misses so the group scan's empty-termination path is exercised.
-    uint64_t id = rng.NextBounded(kProbeTrialEntries * 5 / 4);
-    const uint32_t* v = t.Find(Key::FromUint64(id));
-    acc += v != nullptr ? *v + 1 : 0;
-  }
-  timer.SetEvents(kProbeTrialLookups);
-  return acc;
-}
-
-void RunTableGroupProbeTrial(bench::BenchHarness& harness) {
-  auto& trial = harness.AddTrial("TableGroupProbe");
-  trial.Config("entries", static_cast<double>(kProbeTrialEntries))
-      .Config("lookups", static_cast<double>(kProbeTrialLookups));
-  uint64_t acc = RunTableProbePass(trial);
   trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
 }
 
@@ -763,7 +732,6 @@ int main(int argc, char** argv) {
   netcache::RunBurstTrials(harness);
   netcache::RunSketchBatchTrial(harness);
   netcache::RunServeStageTrial(harness);
-  netcache::RunTableGroupProbeTrial(harness);
   netcache::RunParallelDesTrials(harness);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

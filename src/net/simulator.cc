@@ -259,27 +259,13 @@ void Simulator::RunUntil(SimTime until) {
     ++c.events;
     DispatchIn(c, ev, /*coalesce=*/true);
   }
-  if (c.now < until) {
+  // An unbounded run leaves the clock at the last dispatched instant.
+  if (until != kNeverTime && c.now < until) {
     c.now = until;
   }
 }
 
-void Simulator::RunAll() {
-  if (partitioned_) {
-    RunWindowed(kNeverTime);
-    return;
-  }
-  Ctx& c = *legacy_;
-  for (const Event* next = Peek(c); next != nullptr; next = Peek(c)) {
-    if (next->time != c.now) {
-      SamplePeak(c);
-    }
-    Event ev = Take(c);
-    c.now = ev.time;
-    ++c.events;
-    DispatchIn(c, ev, /*coalesce=*/true);
-  }
-}
+void Simulator::RunAll() { RunUntil(kNeverTime); }
 
 void Simulator::RunWindowed(SimTime until) {
   for (;;) {

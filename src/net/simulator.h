@@ -534,7 +534,7 @@ class Simulator {
   NC_LP_FENCED uint32_t parity_ = 0;
   NC_LP_SHARED size_t threads_ = 1;
   NC_LP_SHARED SimDuration lookahead_ = 0;
-  NC_LP_SHARED SimDuration global_lookahead_ = 0;  // 0 = default to lookahead_
+  NC_LP_SHARED SimDuration global_lookahead_ = 0;  // 0 = no t0+G horizon cap
   NC_LP_FENCED uint64_t windows_ = 0;     // coordinator-only, between rounds
   NC_LP_SHARED std::deque<Ctx> ctxs_;  // deque: Ctx owns a PacketPool and must never move
   NC_LP_SHARED Ctx* legacy_ = nullptr;  // &ctxs_[0]

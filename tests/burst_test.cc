@@ -328,7 +328,7 @@ TEST(BurstInPlaceTest, EveryForwardedArrivalIsEmittedAsItself) {
 // ------------------------------------------------- sampled bursts
 //
 // With SetSampleRate(1.0) the batch stages all run: batched digests, the
-// stage-2.5 cold-miss statistics prefix, grouped table scans and the value
+// stage-2.5 cold-miss statistics prefix, the table probes and the value
 // gather. These are the only burst scenarios that drive that cold prefix.
 // Two identically configured switches process the same packets, one as
 // N-packet bursts and one as N one-packet bursts; both must agree on every

@@ -1,4 +1,4 @@
-// Fixture: raw intrinsic outside src/common/simd* (simd-intrinsics).
+// Fixture: raw intrinsic in a fast-path file (simd-intrinsics).
 #include <immintrin.h>
 namespace netcache {
 void AddRows(int* a, const int* b) {

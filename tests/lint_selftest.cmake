@@ -3,10 +3,10 @@
 #         -P lint_selftest.cmake
 #
 # For every rule, a planted-violation tree must be flagged (exit 1, finding
-# tagged with the rule) and its compliant twin must pass (exit 0) — so a
-# regression that silently disables a rule, or one that starts flagging the
-# sanctioned idiom, both fail here. Also covers --list-rules and the
-# unknown-rule exit code.
+# tagged with the rule, every planted file named) and its compliant twin must
+# pass (exit 0) — so a regression that silently disables a rule, exempts a
+# path, or starts flagging the sanctioned idiom fails here. Also covers
+# --list-rules and the unknown-rule exit code.
 
 set(RULES
     determinism-rng determinism-clock no-naked-assert include-guards
@@ -48,6 +48,13 @@ foreach(rule ${RULES})
     message(FATAL_ERROR
         "${rule}: bad fixture finding is not tagged [${rule}]:\n${out}")
   endif()
+  file(GLOB_RECURSE planted RELATIVE ${FIXTURES}/${dir}/bad ${FIXTURES}/${dir}/bad/*)
+  foreach(f ${planted})
+    string(FIND "${out}" "${f}:" idx)
+    if(idx EQUAL -1)
+      message(FATAL_ERROR "${rule}: planted violation ${f} was not flagged:\n${out}")
+    endif()
+  endforeach()
 
   execute_process(
     COMMAND ${PYTHON} ${LINT} --root ${FIXTURES}/${dir}/good
