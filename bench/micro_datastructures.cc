@@ -60,44 +60,10 @@ void BM_BloomTestAndSet(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomTestAndSet);
 
-// --- Batch kernels ---
+// --- Batch digest kernel ---
 //
-// The burst pipeline feeds whole Get-runs through UpdateBatch /
-// TestAndSetBatch and digests them with simd::DigestGather16; these benches
-// measure the batch forms in isolation over the per-arg batch size. The
-// harness trials below gate the same kernels in CI with checksums.
-
-void BM_CountMinUpdateBatch(benchmark::State& state) {
-  size_t batch = static_cast<size_t>(state.range(0));
-  CountMinSketch cms(4, 64 * 1024, 1);
-  Rng rng(1);
-  std::vector<KeyDigest> digests(batch);
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 20)));
-    }
-    cms.UpdateBatch(digests.data(), batch, nullptr);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_CountMinUpdateBatch)->Arg(8)->Arg(32)->Arg(64);
-
-void BM_BloomTestAndSetBatch(benchmark::State& state) {
-  size_t batch = static_cast<size_t>(state.range(0));
-  BloomFilter bf(3, 256 * 1024, 2);
-  Rng rng(2);
-  std::vector<KeyDigest> digests(batch);
-  bool already[64];  // max Arg below
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 20)));
-    }
-    bf.TestAndSetBatch(digests.data(), batch, already);
-    benchmark::DoNotOptimize(already);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_BloomTestAndSetBatch)->Arg(8)->Arg(32)->Arg(64);
+// The burst pipeline digests whole Get-runs with simd::DigestGather16; this
+// bench measures the kernel in isolation over a 64-key batch.
 
 void BM_DigestGather16(benchmark::State& state) {
   Rng rng(3);
@@ -527,44 +493,6 @@ void RunBurstTrials(bench::BenchHarness& harness) {
   }
 }
 
-// --- SketchBatch trial: the burst path's batched sketch updates. The
-// checksum pins the results (deterministic for the fixed stream below); the
-// wall_ms/events pair feeds the --perf gate.
-
-constexpr size_t kBatchTrialKeys = 1'000'000;
-constexpr size_t kBatchTrialBurst = 32;
-
-uint64_t RunSketchBatchPass(bench::TrialRecord& trial) {
-  CountMinSketch cms(4, 64 * 1024, 1);
-  BloomFilter bf(3, 256 * 1024, 2);
-  Rng rng(41);
-  std::vector<KeyDigest> digests(kBatchTrialBurst);
-  std::vector<uint32_t> est(kBatchTrialBurst);
-  bool already[kBatchTrialBurst];
-  uint64_t acc = 0;
-  bench::TrialTimer timer(&trial);
-  for (size_t base = 0; base < kBatchTrialKeys; base += kBatchTrialBurst) {
-    for (size_t i = 0; i < kBatchTrialBurst; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 16)));
-    }
-    cms.UpdateBatch(digests.data(), kBatchTrialBurst, est.data());
-    bf.TestAndSetBatch(digests.data(), kBatchTrialBurst, already);
-    for (size_t i = 0; i < kBatchTrialBurst; ++i) {
-      acc += est[i] + (already[i] ? 1 : 0);
-    }
-  }
-  timer.SetEvents(kBatchTrialKeys);
-  return acc;
-}
-
-void RunSketchBatchTrial(bench::BenchHarness& harness) {
-  auto& trial = harness.AddTrial("SketchBatch");
-  trial.Config("keys", static_cast<double>(kBatchTrialKeys))
-      .Config("burst", static_cast<double>(kBatchTrialBurst));
-  uint64_t acc = RunSketchBatchPass(trial);
-  trial.Metric("checksum", static_cast<double>(acc & 0xffffffff));
-}
-
 // --- ServeStage trial: the fig09 burst-serving kernel.
 //
 // ServeStage drives ValueStore::StageGather + GatherValueSlots exactly
@@ -730,7 +658,6 @@ int main(int argc, char** argv) {
   netcache::bench::BenchHarness harness(argc, argv, "micro_datastructures");
   netcache::RunSketchHashTrials(harness);
   netcache::RunBurstTrials(harness);
-  netcache::RunSketchBatchTrial(harness);
   netcache::RunServeStageTrial(harness);
   netcache::RunParallelDesTrials(harness);
   benchmark::Initialize(&argc, argv);

@@ -96,7 +96,9 @@ class CacheController {
   // the Fig 11 experiments do). Bypasses the work queue; call before Start().
   void Warm(const std::vector<Key>& keys);
 
-  // Data-plane heavy-hitter report entry point.
+  // Data-plane heavy-hitter report entry point: the switch's hot-report
+  // handler. It only queues the key; the insertion runs from a later global
+  // event, as the switch requires (NetCacheSwitch::SetHotReportHandler).
   void OnHotReport(const Key& key, uint32_t estimate);
 
   // Server agent callback: a data-plane update didn't fit; re-insert through

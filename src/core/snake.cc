@@ -74,11 +74,12 @@ SnakeHarness::SnakeHarness(const SwitchConfig& config, size_t num_ports)
   // Snake forwarding: ingress 0 -> egress 1, ingress 2 -> egress 3, ...;
   // values are stripped on intermediate hops and kept on the final one.
   for (uint32_t in = 0; in + 2 < num_ports; in += 2) {
-    switch_->SetSnakeForward(in, in + 1, /*strip_value=*/true);
+    NC_CHECK(switch_->SetSnakeForward(in, in + 1, /*strip_value=*/true).ok());
   }
-  switch_->SetSnakeForward(static_cast<uint32_t>(num_ports - 2),
-                           static_cast<uint32_t>(num_ports - 1),
-                           /*strip_value=*/false);
+  NC_CHECK(switch_->SetSnakeForward(static_cast<uint32_t>(num_ports - 2),
+                                    static_cast<uint32_t>(num_ports - 1),
+                                    /*strip_value=*/false)
+               .ok());
 
   NC_CHECK(switch_->AddRoute(kSenderIp, 0).ok());
   NC_CHECK(

@@ -54,9 +54,6 @@ NetCacheSwitch::NetCacheSwitch(Simulator* sim, std::string name, const SwitchCon
   batch_h1_.reserve(kExpectedBurst);
   batch_h2_.reserve(kExpectedBurst);
   batch_pos_.reserve(kExpectedBurst);
-  batch_miss_digests_.reserve(kExpectedBurst);
-  batch_miss_keys_.reserve(kExpectedBurst);
-  batch_miss_pos_.reserve(kExpectedBurst);
   // Up to 8 units per served value.
   batch_serve_srcs_.resize(kExpectedBurst * (kMaxValueSize / kValueUnitSize));
   batch_serve_dsts_.resize(kExpectedBurst * (kMaxValueSize / kValueUnitSize));
@@ -187,20 +184,16 @@ void NetCacheSwitch::ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& si
 }
 
 void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) {
-  // Stages are chosen by run length alone. The batch stages (stage 1's
-  // digest gather, stage 2.5's cold-miss prefix) have a fixed setup cost a
-  // lone packet never amortizes, so a run of one digests inline and leaves
-  // its statistics to stage 3. Both forms are byte-identical: the batched
-  // ones are proven order-equivalent (common/simd.h, sketch/count_min.h,
-  // sketch/heavy_hitter.h).
-  const bool batch = run.size() > 1;
+  // Only stage 1 depends on run length: its digest gather has a fixed setup
+  // cost a lone packet never amortizes, so a run of one digests inline. Both
+  // forms are byte-identical (common/simd.h).
 
   // Stage 1 (ingress hash + match dispatch): digest every key once and warm
   // the lookup table's home buckets.
   {
     ProfScope prof(ProfCat::kSwitchDigest);
     prof.set_arg(run.size());
-    if (batch) {
+    if (run.size() > 1) {
       BatchDigestRun(run);
     } else if (run[0].pkt->digest.Empty()) {
       run[0].pkt->digest = KeyDigest::Of(run[0].pkt->nc.key);
@@ -209,7 +202,9 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
 
   // Stage 2 (match + status): peek every packet's entry and warm the
   // registers its stage-3 turn will touch — the per-key counter and value
-  // rows on a valid hit, the Count-Min rows on a miss.
+  // rows on a valid hit, the Count-Min rows on a miss. No hot-report handler
+  // may change the cache table (SetHotReportHandler), so each packet's match
+  // is final for the whole run.
   {
     ProfScope prof(ProfCat::kSwitchMatchPeek);
     prof.set_arg(run.size());
@@ -217,8 +212,14 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
     for (BurstArrival& a : run) {
       Packet& p = *a.pkt;
       StagedGet s;
-      RestageGet(p, &s);  // Alg 1 line 2
-      if (s.found && s.valid) {
+      const CacheAction* action =
+          lookup_.PeekWithHash(p.nc.key, static_cast<size_t>(p.digest.h1));  // Alg 1 line 2
+      if (action != nullptr) {
+        s.found = true;
+        s.action = *action;
+        s.valid = status_.Read(action->key_index) != 0;
+      }
+      if (s.valid) {
         stats_.PrefetchCounter(s.action.key_index);
         value_size_.Prefetch(s.action.key_index);
         pipes_[s.action.pipe].values.Prefetch(s.action.bitmap, s.action.value_index);
@@ -229,49 +230,25 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
     }
   }
 
-  // Stage 2.5 (batched cold misses): run the vectorized query-statistics
-  // pass over the run's staged misses and commit the provably-cold prefix —
-  // every miss whose sketch estimate cannot reach the hot threshold even if
-  // all of the run's updates landed on its counters. Those packets provably
-  // do not report (so no hot-report handler fires before them and their
-  // stage-2 classification is final); the first potentially-hot miss and
-  // everything after it stays on the exact per-packet path below, including
-  // its re-peek machinery. Skipped entirely when the sampler draws RNG per
-  // query (draw order must be preserved) or on a run of one.
-  if (batch && stats_.CanBatchUncached()) {
-    BatchColdMissRun(run);
-  }
-
-  // Stage 3 (stats + value + emit), strictly in arrival order: every
-  // observable side effect — counters, the sampler's RNG draws, traces, hot
-  // reports, emit scheduling — happens at exactly the position it would in
-  // the sequential schedule, which is what keeps burst output byte-identical
-  // to single-packet processing. The profiler scope also covers stage 2.75,
-  // which is serve work.
+  // Stage 3 (value + stats + emit): one gather assembles every valid hit's
+  // value, then one pass strictly in arrival order books every observable
+  // side effect — counters, the sampler's RNG draws, traces, hot reports,
+  // emit scheduling — at exactly the position it would take in the
+  // sequential schedule, which keeps burst output byte-identical to
+  // single-packet processing. Pure-sum counters (packets/queries/reads,
+  // hits) are booked in bulk after the loop: per-packet ordering of a plain
+  // add is not observable.
   ProfScope serve_prof(ProfCat::kSwitchValueServe);
   serve_prof.set_arg(run.size());
-
-  // Stage 2.75 (batched value serve): find the report-safe prefix — every
-  // packet before the first one that could fire a hot report (a miss whose
-  // statistics were NOT pre-committed by stage 2.5; no handler can mutate
-  // the lookup table before the prefix's stage-3 turns, so its stage-2
-  // classification is final) — and assemble its hits' values with one
-  // GatherValueSlots pass over the run's register slots.
-  const size_t serve_end = BatchValueServeRun(run);
-  // Report-safe prefix first: the table cannot change under these packets,
-  // so the loop drops the re-peek branch, and stage 2.75 already served its
-  // hits, which only book their in-order side effects here. Pure-sum
-  // counters (packets/queries/reads, hits) are booked in bulk after the
-  // loop — per-packet ordering of a plain add is not observable.
+  BatchValueServeRun(run);
   const bool tracing = TraceEnabled();
-  uint64_t prefix_hits = 0;
-  size_t idx = 0;
-  for (; idx < serve_end; ++idx) {
+  uint64_t hits = 0;
+  for (size_t idx = 0; idx < run.size(); ++idx) {
     BurstArrival& a = run[idx];
     Packet& p = *a.pkt;
     const StagedGet& s = staged_[idx];
-    if (s.found && s.valid) {
-      ++prefix_hits;
+    if (s.valid) {
+      ++hits;
       if (tracing) {
         TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0,
                   config_.switch_ip);
@@ -282,7 +259,6 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
       p.nc.op = OpCode::kGetReply;
       p.SwapSrcDst();
     } else {
-      // A stage-2.5-committed miss: provably no report, statistics done.
       if (s.found) {
         ++counters_.cache_invalid;
       } else {
@@ -292,64 +268,21 @@ void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) 
         TraceSpan(s.found ? TraceEvent::kSwitchInvalid : TraceEvent::kSwitchMiss,
                   TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0, config_.switch_ip);
       }
-    }
-    ForwardBurstPacket(a, sink);
-  }
-  counters_.packets += serve_end;
-  counters_.netcache_queries += serve_end;
-  counters_.reads += serve_end;
-  counters_.cache_hits += prefix_hits;
-  bool table_may_have_changed = false;
-  for (; idx < run.size(); ++idx) {
-    BurstArrival& a = run[idx];
-    Packet& p = *a.pkt;
-    StagedGet s = staged_[idx];
-    ++counters_.packets;
-    ++counters_.netcache_queries;
-    ++counters_.reads;
-    if (table_may_have_changed) {
-      // A hot report earlier in this run ran a synchronous handler that may
-      // have mutated the cache (unit-test controllers insert inline; the
-      // rack controller defers to a later event). Re-peek so this packet
-      // sees the same table state it would have sequentially.
-      RestageGetCold(p, &s);
-    }
-    if (s.found && s.valid) {
-      ++counters_.cache_hits;
-      if (TraceEnabled()) {
-        TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0,
-                  config_.switch_ip);
-      }
-      stats_.OnCachedRead(s.action.key_index);  // Alg 1 line 5
-      ++pipe_value_reads_[s.action.pipe];
-      size_t size = value_size_.Read(s.action.key_index);
-      pipes_[s.action.pipe].values.ReadValueInto(s.action.bitmap, s.action.value_index, size,
-                                                 &p.nc.value);
-      p.nc.has_value = true;
-      p.nc.op = OpCode::kGetReply;
-      p.SwapSrcDst();
-    } else {
-      if (s.found) {
-        ++counters_.cache_invalid;
-      } else {
-        ++counters_.cache_misses;
-      }
-      if (TraceEnabled()) {
-        TraceSpan(s.found ? TraceEvent::kSwitchInvalid : TraceEvent::kSwitchMiss,
-                  TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0, config_.switch_ip);
-      }
-      // stats_done: this miss's statistics pass was committed by the batched
-      // cold prefix in stage 2.5 (provably no report).
-      if (!s.stats_done && stats_.OnUncachedRead(p.nc.key, p.digest)) {  // Alg 1 lines 7-9
+      if (stats_.OnUncachedRead(p.nc.key, p.digest)) {  // Alg 1 lines 7-9
         ++counters_.hot_reports;
         if (hot_report_) {
+          in_hot_report_ = true;
           hot_report_(p.nc.key, stats_.SketchEstimate(p.nc.key));
-          table_may_have_changed = true;
+          in_hot_report_ = false;
         }
       }
     }
     ForwardBurstPacket(a, sink);
   }
+  counters_.packets += run.size();
+  counters_.netcache_queries += run.size();
+  counters_.reads += run.size();
+  counters_.cache_hits += hits;
 }
 
 // Burst stage 1, batched leg: collect pointers at the keys still needing a
@@ -384,37 +317,13 @@ __attribute__((noinline)) void NetCacheSwitch::BatchDigestRun(std::span<BurstArr
   }
 }
 
-// Burst stage 2.5: gather the run's staged misses and commit the provably-
-// cold prefix through the vectorized query-statistics pass.
-__attribute__((noinline)) void NetCacheSwitch::BatchColdMissRun(std::span<BurstArrival> run) {
-  batch_miss_digests_.clear();
-  batch_miss_keys_.clear();
-  batch_miss_pos_.clear();
-  for (size_t idx = 0; idx < run.size(); ++idx) {
-    const StagedGet& s = staged_[idx];
-    if (!(s.found && s.valid)) {
-      Packet& p = *run[idx].pkt;
-      batch_miss_digests_.push_back(p.digest);
-      batch_miss_keys_.push_back(&p.nc.key);
-      batch_miss_pos_.push_back(idx);
-    }
-  }
-  size_t committed = stats_.OnUncachedReadBatchColdPrefix(
-      batch_miss_keys_.data(), batch_miss_digests_.data(), batch_miss_digests_.size());
-  for (size_t m = 0; m < committed; ++m) {
-    staged_[batch_miss_pos_[m]].stats_done = true;
-  }
-}
-
-// Burst stage 2.75: one pass finds the report-safe prefix end and stages
-// every prefix hit's units (stage 3 serves only the hits after it). The
-// staging books exactly the counted stage reads ReadValueInto would
-// (StageGather calls RegisterArray::Read per participating unit), then a
-// single GatherValueSlots call copies all units, four in flight.
-// Whole-unit copies may write past value.size() inside the 128-byte buffer —
-// that tail is unobservable (Value::operator== and SerializePacket stop at
-// size).
-__attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<BurstArrival> run) {
+// Burst stage 3's gather: stages every valid hit's units, booking exactly
+// the counted stage reads ReadValueInto would (StageGather calls
+// RegisterArray::Read per participating unit), then a single
+// GatherValueSlots call copies all units, four in flight. Whole-unit copies
+// may write past value.size() inside the 128-byte buffer — that tail is
+// unobservable (Value::operator== and SerializePacket stop at size).
+__attribute__((noinline)) void NetCacheSwitch::BatchValueServeRun(std::span<BurstArrival> run) {
   size_t max_units = run.size() * (kMaxValueSize / kValueUnitSize);
   if (batch_serve_srcs_.size() < max_units) {
     batch_serve_srcs_.resize(max_units);
@@ -423,14 +332,9 @@ __attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<Bu
   const uint8_t** srcs = batch_serve_srcs_.data();
   uint8_t** dsts = batch_serve_dsts_.data();
   size_t units = 0;
-  size_t serve_end = run.size();
   for (size_t idx = 0; idx < run.size(); ++idx) {
-    StagedGet& s = staged_[idx];
-    if (!(s.found && s.valid)) {
-      if (!s.stats_done) {
-        serve_end = idx;
-        break;
-      }
+    const StagedGet& s = staged_[idx];
+    if (!s.valid) {
       continue;
     }
     Packet& p = *run[idx].pkt;
@@ -442,11 +346,6 @@ __attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<Bu
   if (units != 0) {
     GatherValueSlots(srcs, dsts, units);
   }
-  return serve_end;
-}
-
-__attribute__((noinline)) void NetCacheSwitch::RestageGetCold(const Packet& p, StagedGet* s) {
-  RestageGet(p, s);
 }
 
 void NetCacheSwitch::ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink) {
@@ -491,11 +390,16 @@ void NetCacheSwitch::ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink) {
   sink.OnEmit(out_port, &p, /*from_burst=*/true);
 }
 
-void NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value) {
+Status NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value) {
+  const size_t radix = config_.num_pipes * config_.ports_per_pipe;
+  if (in_port >= radix || out_port >= radix) {
+    return Status::InvalidArgument("snake port beyond switch radix");
+  }
   if (in_port >= snake_.size()) {
     snake_.resize(in_port + 1);
   }
   snake_[in_port] = SnakeHop{out_port, strip_value};
+  return Status::Ok();
 }
 
 void NetCacheSwitch::ProcessWrite(Packet& pkt) {
@@ -594,7 +498,13 @@ std::optional<uint32_t> NetCacheSwitch::RouteOf(IpAddress ip) const {
   return *port;
 }
 
+void NetCacheSwitch::CheckNotInHotReport() const {
+  NC_CHECK(!in_hot_report_) << "hot-report handler must not change the cache inline; "
+                               "queue the key and change the cache from a later event";
+}
+
 Status NetCacheSwitch::InsertCacheEntry(const Key& key, const Value& value, IpAddress server_ip) {
+  CheckNotInHotReport();
   if (lookup_.Match(key) != nullptr) {
     return Status::AlreadyExists("key already cached");
   }
@@ -638,6 +548,7 @@ Status NetCacheSwitch::InsertCacheEntry(const Key& key, const Value& value, IpAd
 }
 
 Status NetCacheSwitch::EvictCacheEntry(const Key& key) {
+  CheckNotInHotReport();
   const CacheAction* action = lookup_.Match(key);
   if (action == nullptr) {
     return Status::NotFound("key not cached");
@@ -653,6 +564,7 @@ Status NetCacheSwitch::EvictCacheEntry(const Key& key) {
 }
 
 size_t NetCacheSwitch::Defragment(size_t pipe, size_t needed_units) {
+  CheckNotInHotReport();
   NC_CHECK(pipe < pipes_.size());
   PipeState& ps = pipes_[pipe];
   std::vector<SlotMove> plan = ps.allocator.PlanReorganization(needed_units);
@@ -809,6 +721,7 @@ Status NetCacheSwitch::CheckInvariants() const {
 }
 
 void NetCacheSwitch::ClearCache() {
+  CheckNotInHotReport();
   std::vector<Key> keys;
   keys.reserve(lookup_.size());
   lookup_.ForEachEntry([&keys](const Key& key, const CacheAction&) { keys.push_back(key); });

@@ -161,16 +161,24 @@ class NetCacheSwitch : public Node {
   };
 
   // VPP-style stage-at-a-time processing of a delivery burst: runs of Get
-  // queries execute as match-all -> stats-all -> value-store-all with
-  // software prefetch between stages; any other packet is a barrier that
-  // is rewritten in place (write, cache update) or passed through at its
-  // in-order turn. All observable side effects (counters, RNG draws, traces,
-  // hot reports, emits) are issued at each packet's sequential position, so
-  // one N-packet burst is identical to N one-packet bursts in arrival order.
+  // queries execute as digest-all -> match-all -> gather-all values, then
+  // one in-order pass, with software prefetch between stages; any other
+  // packet is a barrier that is rewritten in place (write, cache update) or
+  // passed through at its in-order turn. All observable side effects
+  // (counters, RNG draws, traces, hot reports, emits) are issued at each
+  // packet's sequential position, so one N-packet burst is identical to N
+  // one-packet bursts in arrival order.
   void ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& sink);
 
   // ---- control plane (switch driver) ----
 
+  // Receives each hot-key report (Alg 1 line 9) at its packet's in-order
+  // turn in the burst. Contract: the handler must not change the cache
+  // inline. It queues the key, and the controller inserts it from a later
+  // event through the switch driver, at the control-plane update rate (§4.3,
+  // §4.4.3). InsertCacheEntry, EvictCacheEntry, Defragment and ClearCache
+  // die on an NC_CHECK when called inside the handler. The contract keeps a
+  // Get run's staged matches final for the whole run.
   using HotReportHandler = std::function<void(const Key& key, uint32_t estimate)>;
   void SetHotReportHandler(HotReportHandler handler) { hot_report_ = std::move(handler); }
 
@@ -265,8 +273,9 @@ class NetCacheSwitch : public Node {
   // rewound into a fresh Get — "we remove the value field at the last egress
   // stage for all intermediate ports", so the next pass processes it as a
   // new query. The Fig 9 microbenchmark uses this to amplify offered load by
-  // the number of snake hops.
-  void SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value);
+  // the number of snake hops. Fails with kInvalidArgument when either port
+  // is beyond the switch radix.
+  Status SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value);
 
  private:
   struct PipeState {
@@ -279,14 +288,12 @@ class NetCacheSwitch : public Node {
   size_t PipeOfPort(uint32_t port) const { return port / config_.ports_per_pipe; }
 
   // Snapshot of one Get's stage-2 state in a burst: the matched action and
-  // validity, peeked ahead of the in-order stage-3 pass. stats_done marks a
-  // miss whose query-statistics pass was committed by the batched cold-prefix
-  // path (stage 2.5), so stage 3 must not feed it to the sketch again.
+  // validity. No hot-report handler may change the cache table (see
+  // SetHotReportHandler), so the snapshot stays final for the whole run.
   struct StagedGet {
     CacheAction action;
     bool found = false;
     bool valid = false;
-    bool stats_done = false;
   };
 
   // Parser predicate (§4.1): only packets on the reserved L4 port run the
@@ -300,39 +307,18 @@ class NetCacheSwitch : public Node {
     return IsNetCacheQuery(p) && p.nc.op == OpCode::kGet;
   }
 
-  // Once-per-run batch stages (burst stage 1's digest gather and stage
-  // 2.5's cold-miss statistics prefix), run only on runs of two or more and
-  // outlined noinline so the per-packet loops in ProcessGetRun stay small
-  // enough for the front end — inlining them once doubled the function and
-  // cost the per-packet loops ~10%.
+  // Once-per-run batch stages (stage 1's digest gather for runs of two or
+  // more, stage 3's value gather), outlined noinline so the per-packet loops
+  // in ProcessGetRun stay small enough for the front end — inlining them
+  // once doubled the function and cost the per-packet loops ~10%.
   void BatchDigestRun(std::span<BurstArrival> run);
-  void BatchColdMissRun(std::span<BurstArrival> run);
-  // Stage 2.75: scans for the report-safe prefix end — the first staged miss
-  // whose statistics were NOT pre-committed by stage 2.5, i.e. the first
-  // packet that could fire a hot-report handler and mutate the table — and
-  // assembles the value of every valid hit before it straight into its
-  // packet via one GatherValueSlots pass over the whole run's register
-  // slots. Returns the prefix end.
-  size_t BatchValueServeRun(std::span<BurstArrival> run);
+  // Assembles the value of every valid hit in the run straight into its
+  // packet via one GatherValueSlots pass over the run's register slots.
+  void BatchValueServeRun(std::span<BurstArrival> run);
 
-  // Noinline twin of RestageGet for the stage-3 re-peek, which only runs
-  // after a hot report mutated the table mid-run (rare); keeps the second
-  // copy of the probe out of the serve loop's instruction footprint.
-  void RestageGetCold(const Packet& p, StagedGet* s);
-
-  // (Re)derives one Get's staged match state from the current lookup table
-  // and cache-status registers; leaves stats_done alone. Defined here so the
-  // stage-2 peek loop inlines it.
-  void RestageGet(const Packet& p, StagedGet* s) {
-    const CacheAction* action =
-        lookup_.PeekWithHash(p.nc.key, static_cast<size_t>(p.digest.h1));
-    s->found = action != nullptr;
-    s->valid = false;
-    if (action != nullptr) {
-      s->action = *action;
-      s->valid = status_.Read(action->key_index) != 0;
-    }
-  }
+  // Dies when called from inside the hot-report handler: every cache-table
+  // mutator checks it (see SetHotReportHandler).
+  void CheckNotInHotReport() const;
 
   // Schedules one pooled output packet through the per-pipe rate bound and
   // the pipeline-latency delay (the emit half of HandleBurst). Takes
@@ -393,6 +379,8 @@ class NetCacheSwitch : public Node {
   };
   NC_LP_FENCED std::vector<std::optional<SnakeHop>> snake_;  // harness setup only
   NC_LP_SHARED HotReportHandler hot_report_;  // installed at wiring time
+  // True while hot_report_ runs; the cache-table mutators refuse to run.
+  NC_LP_OWNED bool in_hot_report_ = false;
 
   NC_LP_OWNED SwitchCounters counters_;
   NC_LP_OWNED std::vector<uint64_t> pipe_value_reads_;
@@ -401,20 +389,15 @@ class NetCacheSwitch : public Node {
   // Staged Gets of the current run; a member so the steady state allocates
   // nothing per packet or burst.
   NC_LP_OWNED std::vector<StagedGet> staged_;
-  // Burst scratch (stage-1 digest batching and the stage-2.5 cold-miss
-  // batch), reserved once in the constructor: pointers at the packets'
-  // in-place key bytes for simd::DigestGather16, the resulting (h1, h2)
-  // lanes, the run positions they scatter back to, and the run's staged
-  // misses for the cold-prefix statistics pass.
+  // Stage-1 digest-batching scratch, reserved once in the constructor:
+  // pointers at the packets' in-place key bytes for simd::DigestGather16,
+  // the resulting (h1, h2) lanes, and the run positions they scatter back to.
   NC_LP_OWNED std::vector<const uint8_t*> batch_key_ptrs_;
   NC_LP_OWNED std::vector<uint64_t> batch_h1_;
   NC_LP_OWNED std::vector<uint64_t> batch_h2_;
   NC_LP_OWNED std::vector<size_t> batch_pos_;
-  NC_LP_OWNED std::vector<KeyDigest> batch_miss_digests_;
-  NC_LP_OWNED std::vector<const Key*> batch_miss_keys_;
-  NC_LP_OWNED std::vector<size_t> batch_miss_pos_;
-  // Stage-2.75 batched-serve scratch: one (register slot, packet value
-  // offset) pointer pair per 16-byte unit served this run.
+  // Stage-3 value-gather scratch: one (register slot, packet value offset)
+  // pointer pair per 16-byte unit served this run.
   NC_LP_OWNED std::vector<const uint8_t*> batch_serve_srcs_;
   NC_LP_OWNED std::vector<uint8_t*> batch_serve_dsts_;
 };

@@ -19,42 +19,10 @@ QueryStatistics::QueryStatistics(const StatsConfig& config)
       hh_(DetectorConfig(config)),
       rng_(config.seed) {}
 
-bool QueryStatistics::Sampled() {
-  if (sample_rate_ >= 1.0 || rng_.NextBernoulli(sample_rate_)) {
-    ++activity_.sampled;
-    return true;
-  }
-  ++activity_.skipped;
-  return false;
-}
-
 void QueryStatistics::OnCachedRead(size_t key_index) {
   if (Sampled()) {
     counters_.Increment(key_index);
   }
-}
-
-bool QueryStatistics::OnUncachedRead(const Key& key, const KeyDigest& digest) {
-  if (!Sampled()) {
-    return false;
-  }
-  bool report = hh_.Offer(key, digest);
-  if (report) {
-    ++activity_.reports;
-  }
-  return report;
-}
-
-size_t QueryStatistics::OnUncachedReadBatchColdPrefix(const Key* const* keys,
-                                                      const KeyDigest* digests, size_t n) {
-  if (!CanBatchUncached()) {
-    return 0;
-  }
-  size_t k = hh_.OfferBatchColdPrefix(keys, digests, n);
-  // At sample_rate >= 1.0 every committed packet would have been
-  // Sampled() == true with no RNG draw.
-  activity_.sampled += k;
-  return k;
 }
 
 void QueryStatistics::ResetEpoch() {

@@ -40,23 +40,19 @@ class QueryStatistics {
   // Miss path: feed the heavy-hitter detector. Returns true when the key
   // crossed the hot threshold for the first time this epoch and should be
   // reported to the controller. (Alg 1 lines 7-9) The digest overload is the
-  // fast path; the key rides along for shadow ground-truth tracking.
+  // fast path; the key rides along for shadow ground-truth tracking. Defined
+  // here so the switch's in-order burst pass inlines it for every miss.
   bool OnUncachedRead(const Key& key) { return OnUncachedRead(key, KeyDigest::Of(key)); }
-  bool OnUncachedRead(const Key& key, const KeyDigest& digest);
-
-  // True when the module-level sampler draws no RNG (sample_rate >= 1.0) —
-  // the precondition for the batched miss path: batching must not reorder or
-  // skip Bernoulli draws.
-  bool CanBatchUncached() const { return sample_rate_ >= 1.0; }
-
-  // Batched miss path: commits the provably-cold leading prefix of a burst's
-  // uncached reads in one vectorized pass (see
-  // HeavyHitterDetector::OfferBatchColdPrefix) and returns its length k.
-  // Every committed packet behaves exactly as OnUncachedRead returning false;
-  // the caller routes packets k..n-1 through per-packet OnUncachedRead.
-  // Returns 0 when CanBatchUncached() is false.
-  size_t OnUncachedReadBatchColdPrefix(const Key* const* keys, const KeyDigest* digests,
-                                       size_t n);
+  bool OnUncachedRead(const Key& key, const KeyDigest& digest) {
+    if (!Sampled()) {
+      return false;
+    }
+    bool report = hh_.Offer(key, digest);
+    if (report) {
+      ++activity_.reports;
+    }
+    return report;
+  }
 
   // Burst-pipeline prefetch hooks: warm the cached-read counter slot or the
   // Count-Min rows before the corresponding On*Read call.
@@ -104,7 +100,14 @@ class QueryStatistics {
   HeavyHitterDetector& TestOnlyDetector() { return hh_; }
 
  private:
-  bool Sampled();
+  bool Sampled() {
+    if (sample_rate_ >= 1.0 || rng_.NextBernoulli(sample_rate_)) {
+      ++activity_.sampled;
+      return true;
+    }
+    ++activity_.skipped;
+    return false;
+  }
 
   double sample_rate_;
   CounterArray counters_;

@@ -49,20 +49,6 @@ void BloomFilter::Insert(const KeyDigest& digest) {
   }
 }
 
-void BloomFilter::TestAndSetBatch(const KeyDigest* digests, size_t n, bool* already) {
-  std::fill(already, already + n, true);
-  for (size_t p = 0; p < num_hashes_; ++p) {
-    std::vector<bool>& part = partitions_[p];
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<bool>::reference bit = part[BitIndex(p, digests[i])];
-      if (!bit) {
-        already[i] = false;
-        bit = true;
-      }
-    }
-  }
-}
-
 void BloomFilter::Reset() {
   for (auto& part : partitions_) {
     std::fill(part.begin(), part.end(), false);

@@ -40,13 +40,6 @@ class BloomFilter {
   void Insert(const Key& key) { Insert(KeyDigest::Of(key)); }
   void Insert(const KeyDigest& digest);
 
-  // Batched TestAndSet over a burst's digests: already[i] matches what
-  // TestAndSet(digests[i]) called in order would return (duplicates
-  // included). Walks partition-major, which commutes with the per-digest
-  // order because partitions are disjoint and the in-partition digest order
-  // is preserved.
-  void TestAndSetBatch(const KeyDigest* digests, size_t n, bool* already);
-
   void Reset();
 
   size_t num_hashes() const { return num_hashes_; }

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/rng.h"
 
 namespace netcache {
-
-namespace {
-constexpr uint16_t kMaxCounter = std::numeric_limits<uint16_t>::max();
-}  // namespace
 
 CountMinSketch::CountMinSketch(size_t depth, size_t width, uint64_t seed)
     : depth_(depth), width_(std::bit_ceil(width)), mask_(std::bit_ceil(width) - 1) {
@@ -23,18 +18,6 @@ CountMinSketch::CountMinSketch(size_t depth, size_t width, uint64_t seed)
     row_seeds_.push_back(SplitMix64(sm));
     rows_.emplace_back(width_, 0);
   }
-}
-
-uint32_t CountMinSketch::Update(const KeyDigest& digest) {
-  uint32_t est = kMaxCounter;
-  for (size_t d = 0; d < depth_; ++d) {
-    uint16_t& slot = rows_[d][RowIndex(d, digest)];
-    if (slot < kMaxCounter) {
-      ++slot;
-    }
-    est = std::min<uint32_t>(est, slot);
-  }
-  return est;
 }
 
 uint32_t CountMinSketch::UpdateConservative(const KeyDigest& digest) {
@@ -55,41 +38,6 @@ uint32_t CountMinSketch::Estimate(const KeyDigest& digest) const {
     est = std::min<uint32_t>(est, rows_[d][RowIndex(d, digest)]);
   }
   return est;
-}
-
-void CountMinSketch::UpdateBatch(const KeyDigest* digests, size_t n, uint32_t* min_out) {
-  for (size_t d = 0; d < depth_; ++d) {
-    uint16_t* row = rows_[d].data();
-    for (size_t i = 0; i < n; ++i) {
-      uint16_t& slot = row[RowIndex(d, digests[i])];
-      if (slot < kMaxCounter) {
-        ++slot;
-      }
-      if (min_out != nullptr) {
-        min_out[i] = d == 0 ? slot : std::min<uint32_t>(min_out[i], slot);
-      }
-    }
-  }
-}
-
-void CountMinSketch::EstimateBatch(const KeyDigest* digests, size_t n, uint32_t* out) const {
-  for (size_t d = 0; d < depth_; ++d) {
-    const uint16_t* row = rows_[d].data();
-    for (size_t i = 0; i < n; ++i) {
-      uint16_t v = row[RowIndex(d, digests[i])];
-      out[i] = d == 0 ? v : std::min<uint32_t>(out[i], v);
-    }
-  }
-}
-
-void CountMinSketch::UpdateConservativeBatch(const KeyDigest* digests, size_t n,
-                                             uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t target = UpdateConservative(digests[i]);
-    if (out != nullptr) {
-      out[i] = target;
-    }
-  }
 }
 
 void CountMinSketch::Reset() {

@@ -16,8 +16,10 @@
 #ifndef NETCACHE_SKETCH_COUNT_MIN_H_
 #define NETCACHE_SKETCH_COUNT_MIN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "proto/key.h"
@@ -33,9 +35,20 @@ class CountMinSketch {
 
   // Adds one occurrence and returns the post-update estimate (min across
   // rows). This mirrors the data-plane behaviour where the increment and the
-  // hot-key comparison happen in the same pipeline pass.
+  // hot-key comparison happen in the same pipeline pass. Defined here so
+  // the heavy-hitter detector inlines it on every sampled miss.
   uint32_t Update(const Key& key) { return Update(KeyDigest::Of(key)); }
-  uint32_t Update(const KeyDigest& digest);
+  uint32_t Update(const KeyDigest& digest) {
+    uint32_t est = kMaxCounter;
+    for (size_t d = 0; d < depth_; ++d) {
+      uint16_t& slot = rows_[d][RowIndex(d, digest)];
+      if (slot < kMaxCounter) {
+        ++slot;
+      }
+      est = std::min<uint32_t>(est, slot);
+    }
+    return est;
+  }
 
   // Conservative update: only increments rows currently at the minimum.
   // Not used by the paper's prototype; provided for the ablation bench.
@@ -47,19 +60,6 @@ class CountMinSketch {
   // Point estimate without updating.
   uint32_t Estimate(const Key& key) const { return Estimate(KeyDigest::Of(key)); }
   uint32_t Estimate(const KeyDigest& digest) const;
-
-  // Batched forms over a burst's digests, bit-identical to calling the
-  // per-digest member on digests[0..n) in order (duplicates included: packet
-  // i's post-update value in every row sees exactly the increments from
-  // packets 0..i). Both walk row-major — one register array at a time, as
-  // the pipeline stages do — which commutes with the packet-major scalar
-  // order because rows are independent and the in-row packet order is
-  // preserved. min_out may be null to discard estimates.
-  void UpdateBatch(const KeyDigest* digests, size_t n, uint32_t* min_out);
-  void EstimateBatch(const KeyDigest* digests, size_t n, uint32_t* out) const;
-  // Conservative update has a cross-row dependency per packet (the estimate
-  // gates the raise), so the batch form stays packet-major.
-  void UpdateConservativeBatch(const KeyDigest* digests, size_t n, uint32_t* out);
 
   // Issues prefetches for every row slot the digest will touch, so a later
   // Update/Estimate hits warm cache lines. Used by the burst pipeline.
@@ -79,6 +79,8 @@ class CountMinSketch {
   size_t MemoryBits() const { return depth_ * width_ * 16; }
 
  private:
+  static constexpr uint16_t kMaxCounter = std::numeric_limits<uint16_t>::max();
+
   size_t RowIndex(size_t row, const KeyDigest& digest) const {
     return static_cast<size_t>(digest.Probe(row_seeds_[row])) & mask_;
   }

@@ -35,33 +35,6 @@ bool HeavyHitterDetector::Offer(const Key& key, const KeyDigest& digest) {
   return !seen;
 }
 
-size_t HeavyHitterDetector::OfferBatchColdPrefix(const Key* const* keys,
-                                                 const KeyDigest* digests, size_t n) {
-  if (n == 0 || config_.sample_rate < 1.0) {
-    return 0;
-  }
-  scratch_est_.resize(n);
-  sketch_.EstimateBatch(digests, n, scratch_est_.data());
-  // post_estimate(i) <= pre_estimate(i) + n: each of the run's updates can
-  // raise a row counter by at most 1. Strictly below the threshold under
-  // that bound => Offer(i) provably returns false.
-  const uint64_t threshold = config_.hot_threshold;
-  size_t k = 0;
-  while (k < n && static_cast<uint64_t>(scratch_est_[k]) + n < threshold) {
-    ++k;
-  }
-  if (k == 0) {
-    return 0;
-  }
-  sketch_.UpdateBatch(digests, k, nullptr);
-  if (shadow_enabled_) {
-    for (size_t i = 0; i < k; ++i) {
-      ++shadow_counts_[*keys[i]];
-    }
-  }
-  return k;
-}
-
 void HeavyHitterDetector::Reset() {
   sketch_.Reset();
   bloom_.Reset();

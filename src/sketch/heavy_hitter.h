@@ -44,21 +44,6 @@ class HeavyHitterDetector {
   bool Offer(const Key& key) { return Offer(key, KeyDigest::Of(key)); }
   bool Offer(const Key& key, const KeyDigest& digest);
 
-  // Batched cold path for a burst's uncached reads. Returns the length k of
-  // the leading prefix it committed to the sketch; the caller must feed
-  // packets k..n-1 through per-packet Offer in order. Every committed packet
-  // is one Offer would have returned false for, proven by a conservative
-  // bound: one Update raises any row counter by at most 1, so packet i's
-  // post-update estimate is at most pre_estimate(i) + n when the whole run
-  // holds n updates. The prefix stops at the first packet whose bound could
-  // reach the hot threshold — that packet and everything after might probe
-  // the Bloom filter or report (and a report handler may mutate switch
-  // state), so they stay on the exact scalar path. Returns 0 whenever
-  // sample_rate < 1.0: the per-offer RNG draw order must be preserved
-  // exactly. `keys` feeds shadow ground-truth tracking (one pointer per
-  // digest; may be null when shadow tracking is off).
-  size_t OfferBatchColdPrefix(const Key* const* keys, const KeyDigest* digests, size_t n);
-
   // Warms the Count-Min rows a subsequent Offer will touch. The Bloom filter
   // is deliberately not prefetched: it is only probed once the estimate
   // crosses the hot threshold, which is rare on the steady-state miss path.
@@ -115,8 +100,6 @@ class HeavyHitterDetector {
   CountMinSketch sketch_;
   BloomFilter bloom_;
   Rng rng_;
-  // Per-batch estimate scratch for OfferBatchColdPrefix.
-  std::vector<uint32_t> scratch_est_;
 
   bool shadow_enabled_ = false;
   std::unordered_map<Key, uint64_t, KeyHasher> shadow_counts_;

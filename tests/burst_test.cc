@@ -5,9 +5,10 @@
 // The contract under test is behavioural transparency — one N-packet burst
 // must produce exactly the emits and counters that N one-packet bursts
 // produce in arrival order. Bursts are a throughput optimisation, never a
-// semantic one; a run of one packet takes the same pipeline without its
-// batch stages.
+// semantic one; a run of one packet takes the same pipeline and digests its
+// key inline.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -130,6 +131,19 @@ void ExpectSameSwitch(const NetCacheSwitch& a, const CollectSink& a_sink, const 
   }
 }
 
+// Installs a hot-report handler that only records the reported keys, as the
+// contract requires: a handler must not change the cache inline.
+void RecordHotReports(NetCacheSwitch* sw, std::vector<Key>* reported) {
+  sw->SetHotReportHandler([reported](const Key& key, uint32_t) { reported->push_back(key); });
+}
+
+// Inserts every recorded key, as the controller does from a later event.
+void InsertReported(NetCacheSwitch* sw, const std::vector<Key>& reported) {
+  for (const Key& key : reported) {
+    ASSERT_TRUE(sw->InsertCacheEntry(key, Value::Filler(77, 48), kServerA).ok());
+  }
+}
+
 // Two identically configured switches: one processes `pkts` as a single
 // burst, the other as one-packet bursts; both must agree on everything
 // observable.
@@ -194,27 +208,35 @@ TEST_F(BurstEquivalenceTest, WriteBarrierSplitsRun) {
   EXPECT_EQ(burst_sw_.counters().cache_invalid, 8u);  // the post-Put Gets
 }
 
-TEST_F(BurstEquivalenceTest, HotReportInsertionMidBurstRepeeks) {
-  // A hot-report handler that inserts the key synchronously mutates the
-  // lookup table mid-run: packets staged before the insertion must observe
-  // the new entry at their in-order turn (the re-peek guard), matching the
-  // per-packet schedule exactly.
-  for (NetCacheSwitch* sw : {&burst_sw_, &single_sw_}) {
-    sw->SetSampleRate(1.0);
-    sw->SetHotThreshold(8);
-    sw->SetHotReportHandler([sw](const Key& key, uint32_t) {
-      Status s = sw->InsertCacheEntry(key, Value::Filler(77, 48), kServerA);
-      EXPECT_TRUE(s.ok());
-    });
-  }
-  std::vector<Packet> pkts;
+TEST_F(BurstEquivalenceTest, HotReportedKeyHitsInLaterSegment) {
+  // The handler only records the hot key. The test inserts it between two
+  // segments, at the same point in both legs, as the controller would from
+  // a later event: the first segment's Gets after the report still miss,
+  // and the second segment hits.
+  std::vector<Key> burst_reports;
+  std::vector<Key> single_reports;
+  RecordHotReports(&burst_sw_, &burst_reports);
+  RecordHotReports(&single_sw_, &single_reports);
+  std::vector<Packet> first;
   for (uint32_t i = 0; i < 32; ++i) {
-    pkts.push_back(MakeGet(kClient, kServerA, K(77), i));
+    first.push_back(MakeGet(kClient, kServerA, K(77), i));
   }
-  RunBoth(pkts);
+  RunBoth(first);
+  ASSERT_EQ(burst_reports, std::vector<Key>{K(77)});
+  ASSERT_EQ(single_reports, burst_reports);
+  EXPECT_EQ(burst_sw_.counters().cache_hits, 0u);
+  InsertReported(&burst_sw_, burst_reports);
+  InsertReported(&single_sw_, single_reports);
+
+  std::vector<Packet> second;
+  for (uint32_t i = 0; i < 32; ++i) {
+    second.push_back(MakeGet(kClient, kServerA, K(77), 100 + i));
+  }
+  RunBoth(second);
   ExpectEquivalent();
   EXPECT_EQ(burst_sw_.counters().hot_reports, 1u);
-  EXPECT_GT(burst_sw_.counters().cache_hits, 0u);  // post-insertion Gets hit
+  EXPECT_EQ(burst_sw_.counters().cache_hits, 32u);
+  EXPECT_EQ(single_sw_.counters().cache_hits, 32u);
 }
 
 TEST_F(BurstEquivalenceTest, MixedPortsSegmentRuns) {
@@ -327,12 +349,12 @@ TEST(BurstInPlaceTest, EveryForwardedArrivalIsEmittedAsItself) {
 
 // ------------------------------------------------- sampled bursts
 //
-// With SetSampleRate(1.0) the batch stages all run: batched digests, the
-// stage-2.5 cold-miss statistics prefix, the table probes and the value
-// gather. These are the only burst scenarios that drive that cold prefix.
-// Two identically configured switches process the same packets, one as
-// N-packet bursts and one as N one-packet bursts; both must agree on every
-// emit, counter, and per-key cache count.
+// With SetSampleRate(1.0) every query is sampled: each hit bumps its
+// per-key counter and each miss feeds the sketch in the in-order pass, on
+// runs that also take the batched digest, the table probes and the value
+// gather. Two identically configured switches process the same packets,
+// one as N-packet bursts and one as N one-packet bursts; both must agree
+// on every emit, counter, and per-key cache count.
 class SampledBurstEquivalenceTest : public ::testing::Test {
  protected:
   SampledBurstEquivalenceTest()
@@ -342,7 +364,7 @@ class SampledBurstEquivalenceTest : public ::testing::Test {
       EXPECT_TRUE(sw->AddRoute(kServerA, 0).ok());
       EXPECT_TRUE(sw->AddRoute(kServerB, 1).ok());
       EXPECT_TRUE(sw->AddRoute(kClient, 4).ok());
-      sw->SetSampleRate(1.0);  // enables the batched stats cold prefix
+      sw->SetSampleRate(1.0);  // every query feeds the statistics
     }
   }
 
@@ -368,7 +390,7 @@ TEST_F(SampledBurstEquivalenceTest, MixedHitMissBurstsMatchOnePacketBursts) {
     ASSERT_TRUE(sw->InsertCacheEntry(K(2), Value::Filler(2, 32), kServerB).ok());
   }
   // Several bursts so sketch/bloom state carries across burst boundaries;
-  // keys 1 and 2 hit, the rest miss and flow through the batched stats path.
+  // keys 1 and 2 hit, the rest miss and feed the sketch.
   for (uint32_t burst = 0; burst < 4; ++burst) {
     std::vector<Packet> pkts;
     for (uint32_t i = 0; i < 48; ++i) {
@@ -382,28 +404,116 @@ TEST_F(SampledBurstEquivalenceTest, MixedHitMissBurstsMatchOnePacketBursts) {
 }
 
 TEST_F(SampledBurstEquivalenceTest, HotReportAndBarriersMatchOnePacketBursts) {
-  for (NetCacheSwitch* sw : switches()) {
-    sw->SetHotThreshold(8);
-    sw->SetHotReportHandler([sw](const Key& key, uint32_t) {
-      Status s = sw->InsertCacheEntry(key, Value::Filler(77, 48), kServerA);
-      EXPECT_TRUE(s.ok());
-    });
-  }
-  // One key crosses the hot threshold mid-burst (exercising the cold-prefix
-  // cutoff and the re-peek after synchronous insertion); a Put barrier then
-  // invalidates it, and the tail re-misses through the batched stats path.
-  std::vector<Packet> pkts;
+  std::vector<Key> burst_reports;
+  std::vector<Key> single_reports;
+  RecordHotReports(&burst_sw_, &burst_reports);
+  RecordHotReports(&single_sw_, &single_reports);
+  // One key crosses the hot threshold mid-burst; the handler only records
+  // it, so the Gets after the report still miss.
+  std::vector<Packet> first;
   for (uint32_t i = 0; i < 24; ++i) {
-    pkts.push_back(MakeGet(kClient, kServerA, K(9), i));
+    first.push_back(MakeGet(kClient, kServerA, K(9), i));
   }
-  pkts.push_back(MakePut(kClient, kServerA, K(9), Value::Filler(5, 64), 100));
+  RunAllLegs(first);
+  ASSERT_EQ(burst_reports, std::vector<Key>{K(9)});
+  ASSERT_EQ(single_reports, burst_reports);
+  InsertReported(&burst_sw_, burst_reports);
+  InsertReported(&single_sw_, single_reports);
+
+  // The inserted key hits; a Put barrier then invalidates it, and the tail
+  // re-misses through the statistics path without a second report.
+  std::vector<Packet> second;
+  for (uint32_t i = 0; i < 8; ++i) {
+    second.push_back(MakeGet(kClient, kServerA, K(9), 100 + i));
+  }
+  second.push_back(MakePut(kClient, kServerA, K(9), Value::Filler(5, 64), 150));
   for (uint32_t i = 0; i < 16; ++i) {
-    pkts.push_back(MakeGet(kClient, kServerA, K(9), 200 + i));
+    second.push_back(MakeGet(kClient, kServerA, K(9), 200 + i));
   }
+  RunAllLegs(second);
+  ExpectEquivalent();
+  for (NetCacheSwitch* sw : switches()) {
+    EXPECT_EQ(sw->counters().hot_reports, 1u);
+    EXPECT_EQ(sw->counters().cache_hits, 8u);
+    EXPECT_EQ(sw->counters().invalidations, 1u);
+    EXPECT_EQ(sw->counters().cache_invalid, 16u);
+  }
+}
+
+TEST_F(SampledBurstEquivalenceTest, ReportEarlyInRunThenHitsMatchOnePacketBursts) {
+  // A Get crosses the hot threshold early in a run and cached hits follow in
+  // the same run: the run's one value gather must serve the hits after the
+  // report exactly as one-packet bursts do.
+  constexpr IpAddress kServerC = 0x0a000003;
+  std::vector<Key> burst_reports;
+  std::vector<Key> single_reports;
+  RecordHotReports(&burst_sw_, &burst_reports);
+  RecordHotReports(&single_sw_, &single_reports);
+  for (NetCacheSwitch* sw : switches()) {
+    ASSERT_TRUE(sw->AddRoute(kServerC, 5).ok());  // pipe 1
+    ASSERT_TRUE(sw->InsertCacheEntry(K(1), Value::Filler(1, 64), kServerA).ok());
+    ASSERT_TRUE(sw->InsertCacheEntry(K(2), Value::Filler(2, 128), kServerB).ok());
+    ASSERT_TRUE(sw->InsertCacheEntry(K(3), Value::Filler(3, 40), kServerC).ok());
+  }
+  std::vector<Packet> pkts;
+  uint32_t seq = 0;
+  pkts.push_back(MakeGet(kClient, kServerA, K(1), seq++));
+  for (int i = 0; i < 8; ++i) {  // the 8th crosses threshold 8
+    pkts.push_back(MakeGet(kClient, kServerA, K(50), seq++));
+  }
+  for (uint64_t i = 0; i < 24; ++i) {
+    pkts.push_back(MakeGet(kClient, kServerA, K(1 + i % 3), seq++));
+  }
+  pkts.push_back(MakeGet(kClient, kServerA, K(50), seq++));
   RunAllLegs(pkts);
   ExpectEquivalent();
+  ASSERT_EQ(burst_reports, std::vector<Key>{K(50)});
+  ASSERT_EQ(single_reports, burst_reports);
   EXPECT_EQ(burst_sw_.counters().hot_reports, 1u);
-  EXPECT_EQ(burst_sw_.counters().invalidations, 1u);
+  EXPECT_EQ(burst_sw_.counters().cache_hits, 25u);
+  // The first hit after the report carries its whole value.
+  ASSERT_EQ(burst_sink_.emits().size(), pkts.size());
+  EXPECT_EQ(burst_sink_.emits()[9].pkt.nc.value, Value::Filler(1, 64));
+  for (size_t pipe = 0; pipe < 2; ++pipe) {
+    EXPECT_EQ(burst_sw_.pipe_value_reads(pipe), single_sw_.pipe_value_reads(pipe));
+    for (size_t stage = 0; stage < 8; ++stage) {
+      EXPECT_EQ(burst_sw_.TestOnlyPipeValues(pipe).stage_reads(stage),
+                single_sw_.TestOnlyPipeValues(pipe).stage_reads(stage))
+          << "pipe " << pipe << " stage " << stage;
+    }
+  }
+}
+
+// Drives K(77) across the hot threshold in one burst on a switch whose
+// handler calls `mutate`.
+void ReportWith(const std::function<void(NetCacheSwitch&)>& mutate) {
+  NetCacheSwitch sw(nullptr, "tor", SmallSwitch());
+  ASSERT_TRUE(sw.AddRoute(kServerA, 0).ok());
+  ASSERT_TRUE(sw.AddRoute(kClient, 4).ok());
+  ASSERT_TRUE(sw.InsertCacheEntry(K(1), Value::Filler(1, 16), kServerA).ok());
+  sw.SetHotReportHandler([&sw, &mutate](const Key&, uint32_t) { mutate(sw); });
+  std::vector<Packet> pkts;
+  for (uint32_t i = 0; i < 8; ++i) {
+    pkts.push_back(MakeGet(kClient, kServerA, K(77), i));
+  }
+  CollectSink sink;
+  RunBurst(&sw, pkts, std::vector<uint32_t>(pkts.size(), 4), sink);
+}
+
+TEST(HotReportContractDeathTest, HandlerThatChangesTheCacheInlineDies) {
+  // Every cache-table mutator refuses to run inside the handler: a run's
+  // staged matches must stay final for the whole run.
+  const std::function<void(NetCacheSwitch&)> mutators[] = {
+      [](NetCacheSwitch& sw) { sw.InsertCacheEntry(K(77), Value::Filler(7, 16), kServerA); },
+      [](NetCacheSwitch& sw) { sw.EvictCacheEntry(K(1)); },
+      [](NetCacheSwitch& sw) { sw.Defragment(0, 1); },
+      [](NetCacheSwitch& sw) { sw.ClearCache(); },
+  };
+  for (const auto& mutate : mutators) {
+    EXPECT_DEATH(ReportWith(mutate), "hot-report handler must not change the cache inline");
+  }
+  // A handler that only records the key is fine.
+  ReportWith([](NetCacheSwitch&) {});
 }
 
 // ------------------------------------------------- simulator dispatch

@@ -1,7 +1,6 @@
 // Tests for the query-statistics data structures: Count-Min sketch, Bloom
 // filter, counter array, and the composed heavy-hitter detector (Fig 7).
 
-#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -263,22 +262,8 @@ TEST(HeavyHitterTest, ThresholdTunableAtRuntime) {
 
 // ------------------------------------------------ batch bit-equivalence
 //
-// The batched forms the burst pipeline uses must reproduce the per-digest
-// sequence bit-for-bit. Each test runs the batched form against a reference
-// driven one digest at a time; the batched digest kernel (common/simd.h) is
-// held to KeyDigest::Of.
-
-// 1e5 random digests over a keyspace small enough to force collisions,
-// duplicates, and growing counters.
-std::vector<KeyDigest> RandomDigests(size_t n, uint64_t seed, uint64_t keyspace) {
-  Rng rng(seed);
-  std::vector<KeyDigest> digests;
-  digests.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    digests.push_back(KeyDigest::Of(K(rng.NextBounded(keyspace))));
-  }
-  return digests;
-}
+// The burst pipeline's batched digest kernel (common/simd.h) must reproduce
+// KeyDigest::Of bit-for-bit.
 
 TEST(BatchEquivalenceTest, DigestGatherMatchesKeyDigestOf) {
   Rng rng(0xd16e58);
@@ -301,152 +286,6 @@ TEST(BatchEquivalenceTest, DigestGatherMatchesKeyDigestOf) {
     ASSERT_EQ(h1[i], want.h1) << i;
     ASSERT_EQ(h2[i], want.h2) << i;
   }
-}
-
-TEST(BatchEquivalenceTest, CountMinUpdateBatchMatchesScalarSequence) {
-  constexpr size_t kN = 100000;
-  std::vector<KeyDigest> digests = RandomDigests(kN, 0x5eed, 5000);
-  CountMinSketch batched(4, 4096, 9);
-  CountMinSketch reference(4, 4096, 9);
-
-  std::vector<uint32_t> batch_min(kN);
-  constexpr size_t kBurst = 32;
-  for (size_t i = 0; i < kN; i += kBurst) {
-    size_t n = std::min(kBurst, kN - i);
-    batched.UpdateBatch(digests.data() + i, n, batch_min.data() + i);
-  }
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(batch_min[i], reference.Update(digests[i])) << i;
-  }
-  for (uint64_t k = 0; k < 5000; ++k) {
-    KeyDigest d = KeyDigest::Of(K(k));
-    ASSERT_EQ(batched.Estimate(d), reference.Estimate(d)) << k;
-  }
-}
-
-TEST(BatchEquivalenceTest, CountMinEstimateBatchMatchesScalar) {
-  constexpr size_t kN = 100000;
-  std::vector<KeyDigest> digests = RandomDigests(kN, 0xe571, 3000);
-  CountMinSketch cms(4, 2048, 11);
-  cms.UpdateBatch(digests.data(), digests.size(), nullptr);
-
-  std::vector<uint32_t> batch_est(kN);
-  cms.EstimateBatch(digests.data(), kN, batch_est.data());
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(batch_est[i], cms.Estimate(digests[i])) << i;
-  }
-}
-
-TEST(BatchEquivalenceTest, CountMinConservativeBatchMatchesScalarSequence) {
-  constexpr size_t kN = 100000;
-  std::vector<KeyDigest> digests = RandomDigests(kN, 0xc0145, 4000);
-  CountMinSketch batched(4, 2048, 13);
-  CountMinSketch reference(4, 2048, 13);
-
-  std::vector<uint32_t> batch_out(kN);
-  batched.UpdateConservativeBatch(digests.data(), kN, batch_out.data());
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(batch_out[i], reference.UpdateConservative(digests[i])) << i;
-  }
-  for (uint64_t k = 0; k < 4000; ++k) {
-    KeyDigest d = KeyDigest::Of(K(k));
-    ASSERT_EQ(batched.Estimate(d), reference.Estimate(d)) << k;
-  }
-}
-
-TEST(BatchEquivalenceTest, CountMinBatchSaturatesExactlyLikeScalar) {
-  // Drive one digest across the 16-bit saturation boundary in batches and
-  // per-update: both must pin at 0xffff, never wrap.
-  CountMinSketch batched(2, 64, 3);
-  CountMinSketch reference(2, 64, 3);
-  KeyDigest d = KeyDigest::Of(K(42));
-  std::vector<KeyDigest> burst(100, d);
-  std::vector<uint32_t> batch_min(burst.size());
-  uint32_t last_batch = 0;
-  for (int rep = 0; rep < 700; ++rep) {  // 70000 updates total
-    batched.UpdateBatch(burst.data(), burst.size(), batch_min.data());
-    last_batch = batch_min.back();
-  }
-  uint32_t last_scalar = 0;
-  for (int i = 0; i < 70000; ++i) {
-    last_scalar = reference.Update(d);
-  }
-  EXPECT_EQ(last_batch, 0xffffu);
-  EXPECT_EQ(last_batch, last_scalar);
-  EXPECT_EQ(batched.Estimate(d), reference.Estimate(d));
-}
-
-TEST(BatchEquivalenceTest, BloomTestAndSetBatchMatchesScalarSequence) {
-  constexpr size_t kN = 100000;
-  std::vector<KeyDigest> digests = RandomDigests(kN, 0xb100, 20000);
-  BloomFilter batched(3, 4096, 17);
-  BloomFilter reference(3, 4096, 17);
-
-  std::vector<bool> already(kN);
-  constexpr size_t kBurst = 32;
-  for (size_t i = 0; i < kN; i += kBurst) {
-    size_t n = std::min(kBurst, kN - i);
-    // vector<bool> has no contiguous data(); stage through a small buffer.
-    bool out[kBurst];
-    batched.TestAndSetBatch(digests.data() + i, n, out);
-    for (size_t j = 0; j < n; ++j) {
-      already[i + j] = out[j];
-    }
-  }
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(already[i], reference.TestAndSet(digests[i])) << i;
-  }
-}
-
-TEST(BatchEquivalenceTest, ColdPrefixCommitsOnlyProvablyColdMisses) {
-  HeavyHitterConfig config = SmallHH(8);  // threshold 8
-  HeavyHitterDetector batched(config);
-  HeavyHitterDetector reference(config);
-
-  // A burst of 6 distinct cold keys: estimates 0, bound 0 + 6 < 8, so the
-  // whole run commits and matches six scalar Offers returning false.
-  std::vector<Key> keys;
-  std::vector<KeyDigest> digests;
-  std::vector<const Key*> key_ptrs;
-  for (uint64_t k = 0; k < 6; ++k) {
-    keys.push_back(K(k));
-  }
-  for (const Key& k : keys) {
-    digests.push_back(KeyDigest::Of(k));
-  }
-  for (const Key& k : keys) {
-    key_ptrs.push_back(&k);
-  }
-  EXPECT_EQ(batched.OfferBatchColdPrefix(key_ptrs.data(), digests.data(), digests.size()),
-            digests.size());
-  for (const Key& k : keys) {
-    EXPECT_FALSE(reference.Offer(k));
-  }
-  for (const Key& k : keys) {
-    EXPECT_EQ(batched.Estimate(k), reference.Estimate(k));
-  }
-
-  // Warm one key to the edge: after 7 offers of K(0), a burst starting with
-  // K(0) has pre-estimate 7 and bound 7 + n >= 8, so the prefix is empty and
-  // the caller must run the scalar path (which does report).
-  for (int i = 0; i < 7; ++i) {
-    batched.Offer(K(100));
-  }
-  std::vector<Key> warm = {K(100), K(101)};
-  std::vector<KeyDigest> warm_digests = {KeyDigest::Of(warm[0]), KeyDigest::Of(warm[1])};
-  std::vector<const Key*> warm_ptrs = {&warm[0], &warm[1]};
-  EXPECT_EQ(batched.OfferBatchColdPrefix(warm_ptrs.data(), warm_digests.data(), 2), 0u);
-  EXPECT_TRUE(batched.Offer(warm[0]));  // 8th offer crosses the threshold
-}
-
-TEST(BatchEquivalenceTest, ColdPrefixRefusesToBatchWhenSampling) {
-  HeavyHitterConfig config = SmallHH(8);
-  config.sample_rate = 0.5;  // per-offer RNG draws: batching must bail
-  HeavyHitterDetector hh(config);
-  Key k = K(5);
-  KeyDigest d = KeyDigest::Of(k);
-  const Key* kp = &k;
-  EXPECT_EQ(hh.OfferBatchColdPrefix(&kp, &d, 1), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // API: cache hits/misses, write invalidation, data-plane cache updates,
 // heavy-hitter reporting, routing, defragmentation and resource accounting.
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -264,7 +265,7 @@ TEST_F(SwitchTest, SnakeHopForwardsEveryPacketKind) {
   // Writes, replies and plain L3 leave through the same forward step as
   // Gets, so the snake hop applies to them too, after NetCache processing.
   ASSERT_TRUE(sw_.InsertCacheEntry(K(1), Value::Filler(1, 32), kServerA).ok());
-  sw_.SetSnakeForward(5, 6, /*strip_value=*/true);
+  ASSERT_TRUE(sw_.SetSnakeForward(5, 6, /*strip_value=*/true).ok());
 
   auto put = sw_.ProcessPacket(MakePut(kClient, kServerA, K(1), Value::Filler(2, 32), 1), 5);
   ASSERT_EQ(put.size(), 1u);
@@ -292,6 +293,23 @@ TEST_F(SwitchTest, SnakeHopForwardsEveryPacketKind) {
   EXPECT_FALSE(rewound[0].pkt.nc.has_value);
   EXPECT_EQ(rewound[0].pkt.ip.dst, kServerA);
   EXPECT_EQ(sw_.counters().forwarded, 3u);
+}
+
+TEST_F(SwitchTest, SnakeForwardRejectsPortsBeyondRadix) {
+  // SmallSwitch has 2 pipes x 4 ports: ports 0-7. An in_port of UINT32_MAX
+  // once wrapped the hop table's resize to zero; an out_port past the radix
+  // indexed the per-pipe rate state out of range.
+  EXPECT_EQ(sw_.SetSnakeForward(UINT32_MAX, 6, /*strip_value=*/true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sw_.SetSnakeForward(8, 6, /*strip_value=*/true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sw_.SetSnakeForward(5, 8, /*strip_value=*/true).code(),
+            StatusCode::kInvalidArgument);
+  // A rejected hop installs nothing: port 5 still routes by destination.
+  auto emits = sw_.ProcessPacket(MakeGet(kClient, kServerA, K(1), 1), 5);
+  ASSERT_EQ(emits.size(), 1u);
+  EXPECT_EQ(emits[0].port, 0u);
+  EXPECT_TRUE(sw_.SetSnakeForward(7, 0, /*strip_value=*/false).ok());
 }
 
 TEST_F(SwitchTest, WrongL4PortSkipsNetCacheModules) {
