@@ -3,7 +3,7 @@
 #include <string>
 
 #include "common/logging.h"
-#include "workload/generator.h"
+#include "core/populate.h"
 
 namespace netcache {
 
@@ -168,11 +168,7 @@ std::function<IpAddress(const Key&)> Fabric::OwnerFn() const {
 }
 
 void Fabric::Populate(uint64_t num_keys, size_t value_size) {
-  for (uint64_t id = 0; id < num_keys; ++id) {
-    Key key = Key::FromUint64(id);
-    size_t owner = partitioner_.PartitionOf(key);
-    servers_[owner]->store().Put(key, WorkloadGenerator::ValueFor(id, value_size));
-  }
+  PopulateStores(partitioner_, servers_, num_keys, value_size);
 }
 
 void Fabric::WarmCaches(const std::vector<Key>& keys) {

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/populate.h"
 #include "verify/rack_checkers.h"
-#include "workload/generator.h"
 
 namespace netcache {
 
@@ -149,11 +149,7 @@ std::function<IpAddress(const Key&)> Rack::OwnerFn() const {
 }
 
 void Rack::Populate(uint64_t num_keys, size_t value_size) {
-  for (uint64_t id = 0; id < num_keys; ++id) {
-    Key key = Key::FromUint64(id);
-    size_t owner = partitioner_.PartitionOf(key);
-    servers_[owner]->store().Put(key, WorkloadGenerator::ValueFor(id, value_size));
-  }
+  PopulateStores(partitioner_, servers_, num_keys, value_size);
 }
 
 void Rack::WarmCache(const std::vector<Key>& keys) {

@@ -15,6 +15,7 @@
 #ifndef NETCACHE_KVSTORE_HASH_TABLE_H_
 #define NETCACHE_KVSTORE_HASH_TABLE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -95,6 +96,15 @@ class HashDyn {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t bucket_count() const { return buckets_.size(); }
+
+  // Grows the bucket array to the power of two >= n in one rehash, so a
+  // table filled to n items never doubles on the way. Never shrinks: asking
+  // for no more buckets than the table has is a no-op.
+  void Reserve(size_t n) {
+    if (n > buckets_.size()) {
+      Rehash(std::bit_ceil(n));
+    }
+  }
 
   void Clear() {
     buckets_.clear();

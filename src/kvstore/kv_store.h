@@ -49,6 +49,10 @@ class KvStore {
   // Inserts or overwrites.
   void Put(const Key& key, const Value& value);
 
+  // Sizes the table for n items, so n Puts of new keys never rehash (see
+  // HashDyn::Reserve). Counts no operation.
+  void Reserve(size_t n) { table_.Reserve(n); }
+
   // Returns kNotFound if absent.
   Status Delete(const Key& key);
 

@@ -5,6 +5,7 @@
 #define NETCACHE_PROTO_VALUE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -55,14 +56,35 @@ class Value {
   std::array<uint8_t, kMaxValueSize> data_{};
 };
 
+namespace internal {
+// Filler byte i is byte (i % 8) of `tag` XOR the low byte of i * 0x9d. The
+// XOR pattern of each 8-byte word is precomputed, so a value is built one
+// word per step; bytes past `size` stay zero.
+inline constexpr std::array<uint64_t, kMaxValueSize / 8> kFillerPattern = [] {
+  std::array<uint64_t, kMaxValueSize / 8> pattern{};
+  for (size_t i = 0; i < kMaxValueSize; ++i) {
+    pattern[i / 8] |= uint64_t{static_cast<uint8_t>(i * 0x9d)} << ((i % 8) * 8);
+  }
+  return pattern;
+}();
+}  // namespace internal
+
 inline Value Value::Filler(uint64_t tag, size_t size) {
+  // Words are stored with memcpy, so byte j of a word lands at offset j.
+  static_assert(std::endian::native == std::endian::little);
   Value v;
   if (size > kMaxValueSize) {
     size = kMaxValueSize;
   }
   v.size_ = static_cast<uint8_t>(size);
-  for (size_t i = 0; i < size; ++i) {
-    v.data_[i] = static_cast<uint8_t>((tag >> ((i % 8) * 8)) ^ (i * 0x9d));
+  size_t w = 0;
+  for (; w < size / 8; ++w) {
+    uint64_t word = tag ^ internal::kFillerPattern[w];
+    std::memcpy(v.data_.data() + w * 8, &word, sizeof(word));
+  }
+  if (size % 8 != 0) {
+    uint64_t word = (tag ^ internal::kFillerPattern[w]) & ((uint64_t{1} << ((size % 8) * 8)) - 1);
+    std::memcpy(v.data_.data() + w * 8, &word, sizeof(word));
   }
   return v;
 }

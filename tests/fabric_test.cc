@@ -13,6 +13,7 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "core/fabric.h"
+#include "populate_reference.h"
 #include "workload/generator.h"
 
 namespace netcache {
@@ -51,6 +52,19 @@ TEST(FabricTest, CrossRackGetEndToEnd) {
   ASSERT_TRUE(got.ok()) << got.ToString();
   EXPECT_EQ(value, WorkloadGenerator::ValueFor(7, 64));
   EXPECT_EQ(fabric.TotalServerReads(), 1u);  // reached the owning server
+}
+
+TEST(FabricTest, PopulateMatchesPerKeyLoad) {
+  Fabric bulk(SmallFabric(FabricCacheMode::kNone));
+  Fabric ref(SmallFabric(FabricCacheMode::kNone));
+  bulk.Populate(1000, 32);
+  ReferencePopulate(ref, 1000, 32);
+  ExpectSameStores(bulk, ref, 1000, 32);
+
+  // A second, larger load upserts over the first.
+  bulk.Populate(2500, 32);
+  ReferencePopulate(ref, 2500, 32);
+  ExpectSameStores(bulk, ref, 2500, 32);
 }
 
 TEST(FabricTest, BothClientsReachEveryServer) {

@@ -2,6 +2,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,8 +53,8 @@ TEST(HashDynTest, ChainsStayShort) {
   EXPECT_LE(t.MaxChainLength(), 12u);
 }
 
-TEST(HashDynTest, MatchesReferenceUnderRandomOps) {
-  HashDyn<uint64_t, uint64_t> t;
+// Runs a random Upsert/Erase/Find mix against std::unordered_map.
+void ExpectMatchesReferenceUnderRandomOps(HashDyn<uint64_t, uint64_t>& t) {
   std::unordered_map<uint64_t, uint64_t> ref;
   Rng rng(5);
   for (int i = 0; i < 50000; ++i) {
@@ -81,6 +82,55 @@ TEST(HashDynTest, MatchesReferenceUnderRandomOps) {
       }
     }
     EXPECT_EQ(t.size(), ref.size());
+  }
+  EXPECT_TRUE(t.CheckIntegrity());
+}
+
+TEST(HashDynTest, MatchesReferenceUnderRandomOps) {
+  HashDyn<uint64_t, uint64_t> t;
+  ExpectMatchesReferenceUnderRandomOps(t);
+}
+
+TEST(HashDynTest, ReservedTableMatchesReferenceUnderRandomOps) {
+  HashDyn<uint64_t, uint64_t> t;
+  t.Reserve(4096);
+  ExpectMatchesReferenceUnderRandomOps(t);
+}
+
+TEST(HashDynTest, ReserveSizesOnceForNInserts) {
+  // {n, the power of two >= n}
+  for (auto [n, buckets] : {std::pair<size_t, size_t>{4096, 4096}, {5000, 8192}}) {
+    HashDyn<Key, uint64_t, KeyHasher> t;
+    t.Reserve(n);
+    EXPECT_EQ(t.bucket_count(), buckets) << n;
+    for (uint64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(t.Upsert(Key::FromUint64(i), i));
+    }
+    EXPECT_EQ(t.bucket_count(), buckets) << n;
+    EXPECT_EQ(t.size(), n);
+    EXPECT_TRUE(t.CheckIntegrity());
+  }
+}
+
+TEST(HashDynTest, ReserveKeepsItemsAndNeverShrinks) {
+  HashDyn<uint64_t, uint64_t> t;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    t.Upsert(i, i * 3);
+  }
+  size_t grown = t.bucket_count();
+  EXPECT_EQ(grown, 1024u);
+  t.Reserve(10);
+  EXPECT_EQ(t.bucket_count(), grown);
+  t.Reserve(grown);
+  EXPECT_EQ(t.bucket_count(), grown);
+
+  t.Reserve(3000);  // one rehash of the live items
+  EXPECT_EQ(t.bucket_count(), 4096u);
+  EXPECT_EQ(t.size(), 1000u);
+  EXPECT_TRUE(t.CheckIntegrity());
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_NE(t.Find(i), nullptr);
+    EXPECT_EQ(*t.Find(i), i * 3);
   }
 }
 
@@ -140,6 +190,19 @@ TEST(KvStoreTest, StatsTrackOperations) {
   EXPECT_EQ(store.stats().gets, 2u);
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().deletes, 1u);
+}
+
+TEST(KvStoreTest, ReserveCountsNoOperation) {
+  KvStore store;
+  store.Reserve(100);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.stats().puts, 0u);
+  for (uint64_t i = 0; i < 100; ++i) {
+    store.Put(Key::FromUint64(i), WorkloadGenerator::ValueFor(i, 16));
+  }
+  EXPECT_EQ(store.size(), 100u);
+  EXPECT_EQ(store.stats().puts, 100u);
+  EXPECT_EQ(*store.Peek(Key::FromUint64(42)), WorkloadGenerator::ValueFor(42, 16));
 }
 
 TEST(KvStoreTest, ForEachEnumerates) {

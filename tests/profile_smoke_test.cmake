@@ -6,7 +6,9 @@
 # checks the emitted Chrome trace with tools/profile_report.py: once in
 # --validate mode (structural self-consistency, what CI gates on) and once as
 # a full report with --min-attributed, proving the four DES buckets account
-# for the workers' wall-clock on a real profile, not just on fixtures.
+# for the workers' wall-clock on a real profile, not just on fixtures. Both
+# that report and one of a serial profile must end in a limiting-layer
+# verdict.
 
 execute_process(
   COMMAND ${SIM} rack --servers=4 --offered=120000 --duration=0.1 --seed=7
@@ -51,4 +53,31 @@ if(NOT out MATCHES "Per-lane wall-clock attribution")
 endif()
 if(NOT out MATCHES "Events per LP-window")
   message(FATAL_ERROR "report missing events-per-window histogram:\n${out}")
+endif()
+# A partitioned profile's verdict names one of the five DES buckets.
+if(NOT out MATCHES "Limiting layer: (lp_execute|barrier_wait|merge|serial_fence|coordinate) at [0-9.]+% of DES-lane wall-clock")
+  message(FATAL_ERROR "report missing the DES limiting-layer verdict:\n${out}")
+endif()
+
+# A serial profile records no DES bucket; its verdict names the largest
+# nested switch/server/egress stage instead.
+execute_process(
+  COMMAND ${SIM} rack --servers=4 --offered=120000 --duration=0.05 --seed=7
+          --profile-out=${WORK_DIR}/profile_smoke_serial.json
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "profiled serial rack run exited ${rc}:\n${out}\n${err}")
+endif()
+execute_process(
+  COMMAND ${PYTHON} ${REPORT} ${WORK_DIR}/profile_smoke_serial.json
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "profile_report.py on the serial profile failed (${rc}):\n${out}\n${err}")
+endif()
+if(NOT out MATCHES "Limiting layer: (switch_[a-z_]+|server_[a-z]+|egress_flush) at [0-9.]+% of profiled wall-clock")
+  message(FATAL_ERROR "report missing the serial limiting-layer verdict:\n${out}")
 endif()

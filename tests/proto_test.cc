@@ -2,6 +2,8 @@
 // sizes, and byte-level serialization round trips (including fuzz-ish
 // malformed input handling).
 
+#include <array>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +60,50 @@ TEST(ValueTest, NumUnits) {
 TEST(ValueTest, FillerDeterministic) {
   EXPECT_EQ(Value::Filler(7, 64), Value::Filler(7, 64));
   EXPECT_NE(Value::Filler(7, 64), Value::Filler(8, 64));
+}
+
+// The byte-at-a-time formula Value::Filler replaced, kept as its reference:
+// all kMaxValueSize bytes, zero past the (clamped) size.
+std::array<uint8_t, kMaxValueSize> ReferenceFillerBytes(uint64_t tag, size_t size) {
+  std::array<uint8_t, kMaxValueSize> bytes{};
+  for (size_t i = 0; i < size && i < kMaxValueSize; ++i) {
+    bytes[i] = static_cast<uint8_t>((tag >> ((i % 8) * 8)) ^ (i * 0x9d));
+  }
+  return bytes;
+}
+
+std::vector<uint64_t> FillerTags() {
+  std::vector<uint64_t> tags = {0, 1, 0xff, 0x8000000000000000ull, ~0ull, 0x0123456789abcdefull,
+                                7 * 0x9e3779b97f4a7c15ull + 3};
+  Rng rng(19);
+  for (int i = 0; i < 16; ++i) {
+    tags.push_back(rng.Next());
+  }
+  return tags;
+}
+
+TEST(ValueTest, FillerMatchesByteFormulaWithZeroTail) {
+  for (uint64_t tag : FillerTags()) {
+    for (size_t size = 0; size <= kMaxValueSize; ++size) {
+      Value v = Value::Filler(tag, size);
+      ASSERT_EQ(v.size(), size);
+      std::array<uint8_t, kMaxValueSize> want = ReferenceFillerBytes(tag, size);
+      ASSERT_EQ(std::memcmp(v.data(), want.data(), kMaxValueSize), 0)
+          << "tag " << tag << " size " << size;
+    }
+  }
+}
+
+TEST(ValueTest, FillerClampsAboveMax) {
+  for (uint64_t tag : FillerTags()) {
+    for (size_t size : {kMaxValueSize + 1, size_t{200}, size_t{255}, size_t{256}, size_t{4096}}) {
+      Value v = Value::Filler(tag, size);
+      ASSERT_EQ(v.size(), kMaxValueSize);
+      std::array<uint8_t, kMaxValueSize> want = ReferenceFillerBytes(tag, kMaxValueSize);
+      ASSERT_EQ(std::memcmp(v.data(), want.data(), kMaxValueSize), 0)
+          << "tag " << tag << " size " << size;
+    }
+  }
 }
 
 TEST(PacketTest, MakeGetUsesUdp) {

@@ -8,6 +8,7 @@
 
 #include "client/workload_driver.h"
 #include "core/rack.h"
+#include "populate_reference.h"
 #include "workload/generator.h"
 
 namespace netcache {
@@ -46,6 +47,20 @@ TEST(RackIntegrationTest, GetFromServerEndToEnd) {
   EXPECT_TRUE(got.ok()) << got.ToString();
   EXPECT_EQ(value, WorkloadGenerator::ValueFor(7, 64));
   EXPECT_EQ(rack.tor().counters().cache_misses, 1u);
+}
+
+TEST(RackIntegrationTest, PopulateMatchesPerKeyLoad) {
+  Rack bulk(TestRack());
+  Rack ref(TestRack());
+  bulk.Populate(1000, 64);
+  ReferencePopulate(ref, 1000, 64);
+  ExpectSameStores(bulk, ref, 1000, 64);
+
+  // A second, larger load upserts: the first 1000 ids keep their values and
+  // every store grows to its share of the larger range.
+  bulk.Populate(3000, 64);
+  ReferencePopulate(ref, 3000, 64);
+  ExpectSameStores(bulk, ref, 3000, 64);
 }
 
 TEST(RackIntegrationTest, CachedGetServedBySwitchFaster) {

@@ -18,7 +18,12 @@ Default mode prints:
     within-execute breakdown, never added to the lane buckets;
   * per-LP busy table (exec ms, windows, events/window, stalled windows);
   * the events-per-window histogram (bin 0 = stalled window, bin k covers
-    [2^(k-1), 2^k - 1] events).
+    [2^(k-1), 2^k - 1] events);
+  * a one-line limiting-layer verdict: the largest attributed bucket and its
+    share.  A partitioned profile is judged by the five DES buckets over the
+    DES lanes' extent; a serial profile records none of them, so it is judged
+    by the nested switch/server/egress stages over the recording lanes'
+    extent.
 
 Modes:
   --validate         structural validation only (for CI): checks the trace is
@@ -205,6 +210,22 @@ def scaling_report(doc: dict, baseline: dict) -> None:
           f"{100.0 * eff:.1f}% per-worker scaling efficiency")
 
 
+def limiting_layer(lanes: list, des_lanes: list) -> str:
+    """The verdict line: the largest attributed bucket with its share."""
+    if des_lanes:
+        cats, pool, whole = DES_CATS, des_lanes, "DES-lane wall-clock"
+    else:
+        cats = SWITCH_CATS + SERVER_CATS
+        pool = [l for l in lanes if l.get("spans", 0) > 0]
+        whole = "profiled wall-clock (serial profile, nested stages)"
+    extent = sum(l["last_ns"] - l["first_ns"] for l in pool)
+    totals = {c: sum(l["cats"][c]["ns"] for l in pool) for c in cats}
+    top = max(cats, key=lambda c: totals[c])
+    if extent <= 0 or totals[top] == 0:
+        return "Limiting layer: none (no attributed spans)"
+    return f"Limiting layer: {top} at {pct(totals[top], extent).strip()} of {whole}"
+
+
 def report(doc: dict, min_attributed: float) -> int:
     nc = doc["netcache"]
     lanes = nc["lanes"]
@@ -302,6 +323,8 @@ def report(doc: dict, min_attributed: float) -> int:
                 break
             bar = "#" * max(1 if b else 0, round(width * b / peak))
             print(f"  {bin_label(k):>12} {b:>10} {pct(b, total_windows):>7}  {bar}")
+
+    print("\n" + limiting_layer(lanes, des_lanes))
 
     if min_attributed is not None and overall < min_attributed:
         print(f"\nprofile_report: FAIL: attributed fraction {overall:.3f} "
