@@ -158,14 +158,16 @@ uint64_t Profiler::TickIfEnabled() {
   return ProfilingEnabled() ? NowNs() : 0;
 }
 
-void Profiler::RecordSince(ProfCat cat, uint32_t lp, uint64_t start_ns, uint64_t arg) {
-  if (start_ns == 0) {
-    return;
+uint64_t Profiler::RecordSince(ProfCat cat, uint32_t lp, uint64_t start_ns, uint64_t arg) {
+  Profiler* p = ProfilingEnabled() ? GetProfiler() : nullptr;
+  if (p == nullptr) {
+    return 0;
   }
-  Profiler* p = internal::g_profiler.load(std::memory_order_relaxed);
-  if (p != nullptr) {
-    p->RecordSpan(cat, lp, start_ns, NowNs(), arg);
+  uint64_t now = NowNs();
+  if (start_ns != 0) {
+    p->RecordSpan(cat, lp, start_ns, now, arg);
   }
+  return now;
 }
 
 void Profiler::CountWindowStall(uint32_t lp) {

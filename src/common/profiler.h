@@ -141,8 +141,12 @@ class Profiler {
   // and records only when woken by a new window (a spin that ends in
   // shutdown is simulator teardown, not a barrier stall).
   static uint64_t TickIfEnabled();
-  static void RecordSince(ProfCat cat, uint32_t lp, uint64_t start_ns,
-                          uint64_t arg = 0);
+  // Records [start_ns, now) unless start_ns is 0, and returns now (0 when no
+  // profiler is installed). Feeding the result back as the next span's
+  // start chains a thread's spans end to end, so the time spent recording
+  // one span is booked to the next instead of falling between buckets.
+  static uint64_t RecordSince(ProfCat cat, uint32_t lp, uint64_t start_ns,
+                              uint64_t arg = 0);
   static void CountWindowStall(uint32_t lp);
 
  private:

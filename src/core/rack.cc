@@ -1,5 +1,6 @@
 #include "core/rack.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -121,6 +122,29 @@ Rack::Rack(const RackConfig& config)
         lp_prefix + ".windows_merged",
         [this, lp] { return static_cast<double>(sim_.lp_windows_merged(lp)); },
         {{"component", "sim"}, {"lp", std::to_string(lp)}});
+    metrics_.AddCounter(
+        lp_prefix + ".events",
+        [this, lp] { return static_cast<double>(sim_.lp_events(lp)); },
+        {{"component", "sim"}, {"lp", std::to_string(lp)}});
+  }
+  if (sim_.num_lps() > 0) {
+    // The busiest LP's event count over the mean: how unevenly the topology
+    // spreads work across partitions (a schedule property, so identical at
+    // any --sim-threads; worker balance is a profile question).
+    metrics_.AddGauge("sim.lp_event_imbalance",
+                      [this] {
+                        uint64_t max = 0;
+                        uint64_t total = 0;
+                        for (size_t lp = 1; lp <= sim_.num_lps(); ++lp) {
+                          max = std::max(max, sim_.lp_events(lp));
+                          total += sim_.lp_events(lp);
+                        }
+                        return total == 0 ? 0.0
+                                          : static_cast<double>(max) *
+                                                static_cast<double>(sim_.num_lps()) /
+                                                static_cast<double>(total);
+                      },
+                      {{"component", "sim"}});
   }
   metrics_.AddGauge("sim.avg_events_per_window",
                     [this] {

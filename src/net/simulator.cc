@@ -30,6 +30,9 @@ Simulator::Simulator() {
   legacy_->sim = this;
   legacy_->index = 0;
   legacy_->heap.reserve(kDefaultReserveEvents);
+  // Per-LP counters answer for the global stream too (always 0).
+  summaries_.resize(1);
+  windows_merged_.resize(1);
 }
 
 Simulator::~Simulator() { StopWorkers(); }
@@ -118,15 +121,14 @@ void Simulator::Route(Ctx& from, Ctx& to, Event ev) {
     PushHeap(to, std::move(ev));
     return;
   }
-  OutBucket& bucket = from.out[to.index];
-  std::vector<Event>& side = bucket.ev[parity_];
-  if (side.empty()) {
-    from.touched.push_back(to.index);
-    bucket.min_time[parity_] = ev.time;
-  } else if (ev.time < bucket.min_time[parity_]) {
-    bucket.min_time[parity_] = ev.time;
+  OutBucket& bucket = Bucket(parity_, from.index, to.index);
+  if (bucket.ev.empty()) {
+    summaries_[from.index].mail.push_back(MailNote{to.index, 0});
+    bucket.min_time = ev.time;
+  } else if (ev.time < bucket.min_time) {
+    bucket.min_time = ev.time;
   }
-  side.push_back(std::move(ev));
+  bucket.ev.push_back(std::move(ev));
 }
 
 bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
@@ -167,10 +169,6 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
     // Label the pool shard for the runtime ownership sanitizer: only the
     // thread executing LP i may acquire from / release into shard i.
     c.pool.set_owner_lp(c.index);
-  }
-  for (Ctx& c : ctxs_) {
-    c.out.resize(n);
-    c.touched.reserve(n);
   }
   legacy_ = &ctxs_[0];
   // Every lane moves to its node's LP. Events it already holds were
@@ -221,11 +219,24 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
       }
     }
   }
-  next_.assign(n, kNeverTime);
-  mail_min_.assign(n, kNeverTime);
-  participants_.reserve(num_lps);
   lookahead_ = look;
   threads_ = std::min(threads, num_lps);
+  stride_ = n;
+  outbox_.resize(2 * n * n);
+  summaries_.resize(n);
+  senders_.resize(n);
+  home_.assign(n, 0);
+  for (size_t i = 1; i < n; ++i) {
+    summaries_[i].mail.reserve(n);
+    senders_[i].reserve(n);
+    home_[i] = static_cast<uint32_t>((i - 1) % threads_);
+  }
+  lp_next_.assign(n, kNeverTime);
+  next_.assign(n, kNeverTime);
+  mail_min_.assign(n, kNeverTime);
+  horizon_.assign(n, kNeverTime);
+  windows_merged_.assign(n, 0);
+  participants_.reserve(num_lps);
   partitioned_ = true;
   return true;
 }
@@ -268,19 +279,34 @@ void Simulator::RunUntil(SimTime until) {
 void Simulator::RunAll() { RunUntil(kNeverTime); }
 
 void Simulator::RunWindowed(SimTime until) {
+  // Top-level code may have scheduled into any LP since the last run.
+  lp_next_stale_ = true;
+  // This thread's profiler spans are chained (Profiler::RecordSince): each
+  // starts where the previous one ended, so window setup, summary
+  // publication and span recording are booked to a bucket, not lost
+  // between them.
+  uint64_t tick = Profiler::TickIfEnabled();
   for (;;) {
     SimTime tg = kNeverTime;
     bool serial = false;
     bool exit_loop = false;
     {
-      // Round boundary: single-threaded coordinator work — skim last round's
-      // outboxes, advance the channel clocks, pick this round's participants
-      // and horizons. O(LPs + mail minima), never O(events).
-      ProfScope prof(ProfCat::kCoordinate);
-      CollectOutboxes();
+      // Round boundary: single-threaded coordinator work — fold last round's
+      // summaries, advance the channel clocks, pick this round's participants
+      // and horizons, release the workers. Touches the participants' summary
+      // slots and arrays indexed by LP, never an idle LP's context or a
+      // staged event.
+      FoldSummaries();
+      const size_t n = stride_;
+      if (lp_next_stale_) {
+        for (size_t i = 1; i < n; ++i) {
+          lp_next_[i] = NextTime(ctxs_[i]);
+        }
+        lp_next_stale_ = false;
+      }
       SimTime t0 = kNeverTime;
-      for (size_t i = 1; i < ctxs_.size(); ++i) {
-        next_[i] = std::min(NextTime(ctxs_[i]), mail_min_[i]);
+      for (size_t i = 1; i < n; ++i) {
+        next_[i] = std::min(lp_next_[i], mail_min_[i]);
         t0 = std::min(t0, next_[i]);
       }
       tg = NextTime(ctxs_[0]);
@@ -302,8 +328,10 @@ void Simulator::RunWindowed(SimTime until) {
         // clears its own t0 event. Defensive for kNeverTime arithmetic.)
         DrainAllMail();
         serial = true;
+      } else {
+        StartRound();
       }
-      prof.set_arg(participants_.size());
+      tick = Profiler::RecordSince(ProfCat::kCoordinate, 0, tick, participants_.size());
     }
     if (exit_loop) {
       break;
@@ -313,9 +341,10 @@ void Simulator::RunWindowed(SimTime until) {
         break;
       }
       RunSerialInstant(tg);
+      tick = Profiler::TickIfEnabled();
       continue;
     }
-    RunRound();
+    RunRound(tick);
   }
   // Sync every context's clock to the run's end so Now() is well-defined
   // from any calling context afterwards: `until` for a bounded run, the
@@ -335,47 +364,52 @@ void Simulator::RunWindowed(SimTime until) {
   }
 }
 
-void Simulator::CollectOutboxes() {
+void Simulator::FoldSummaries() {
   // Boundary bookkeeping for the round that just finished (outbox side
   // parity_). Participants drained their inbound mail at the start of their
-  // turn, so their mail-clock resets before new mail is recorded.
+  // window, so their mail clocks and sender lists reset before new mail is
+  // recorded; everyone else's carry over untouched.
   for (uint32_t idx : participants_) {
     mail_min_[idx] = kNeverTime;
+    senders_[idx].clear();
+  }
+  // Ascending participants make every sender list ascending, so a
+  // destination drains its buckets in stream order.
+  for (uint32_t idx : participants_) {
+    const LpSummary& slot = summaries_[idx];
+    lp_next_[idx] = slot.next;
+    for (const MailNote& note : slot.mail) {
+      if (note.dest == 0) {
+        DeliverGlobalMail(idx);
+        continue;
+      }
+      mail_min_[note.dest] = std::min(mail_min_[note.dest], note.min_time);
+      senders_[note.dest].push_back(idx);
+    }
   }
   participants_.clear();
+}
+
+void Simulator::DeliverGlobalMail(uint32_t src) {
+  // Global mail is delivered at the boundary: the coordinator owns the
+  // global heap between rounds, and serial instants must see it. The sender
+  // contract (delay >= global lookahead) guarantees it lands beyond
+  // everything any LP has executed.
   SimTime max_now = 0;
   for (const Ctx& c : ctxs_) {
     max_now = std::max(max_now, c.now);
   }
-  for (Ctx& c : ctxs_) {
-    if (c.touched.empty()) {
-      continue;
-    }
-    for (uint32_t dest : c.touched) {
-      OutBucket& bucket = c.out[dest];
-      std::vector<Event>& side = bucket.ev[parity_];
-      if (dest == 0) {
-        // Global mail is delivered here: the coordinator owns the global
-        // heap between rounds, and serial instants must see it. The sender
-        // contract (delay >= global lookahead) guarantees it lands beyond
-        // everything any LP has executed.
-        for (Event& ev : side) {
-          NC_CHECK(ev.time >= max_now)
-              << "ScheduleGlobal from an LP lands at t=" << ev.time
-              << " ns but an LP already executed t=" << max_now
-              << " ns; LP-context global schedules must carry at least the "
-                 "global lookahead (SetGlobalLookahead / control-plane "
-                 "latency), or run with --sim-threads=0";
-          PushHeap(ctxs_[0], std::move(ev));
-        }
-        side.clear();
-      } else if (mail_min_[dest] == kNeverTime ||
-                 bucket.min_time[parity_] < mail_min_[dest]) {
-        mail_min_[dest] = bucket.min_time[parity_];
-      }
-    }
-    c.touched.clear();
+  std::vector<Event>& mail = Bucket(parity_, src, 0).ev;
+  for (Event& ev : mail) {
+    NC_CHECK(ev.time >= max_now)
+        << "ScheduleGlobal from an LP lands at t=" << ev.time
+        << " ns but an LP already executed t=" << max_now
+        << " ns; LP-context global schedules must carry at least the "
+           "global lookahead (SetGlobalLookahead / control-plane "
+           "latency), or run with --sim-threads=0";
+    PushHeap(ctxs_[0], std::move(ev));
   }
+  mail.clear();
 }
 
 bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
@@ -384,7 +418,7 @@ bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
   // the run bound. When no global lookahead was declared the t0 + G term is
   // omitted entirely — most workloads never ScheduleGlobal from LP context,
   // and capping at t0 + link-lookahead would pin every horizon to the legacy
-  // fixed window. The contract stays enforced: CollectOutboxes fatally
+  // fixed window. The contract stays enforced: DeliverGlobalMail fatally
   // rejects any LP-context global event that lands at or below an executed
   // instant, so a workload that does need the cap fails loudly until it
   // calls SetGlobalLookahead.
@@ -395,35 +429,42 @@ bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
   if (until != kNeverTime) {
     cap = std::min(cap, until + 1);  // events at exactly `until` still run
   }
-  const size_t n = ctxs_.size();
-  for (size_t i = 1; i < n; ++i) {
-    Ctx& c = ctxs_[i];
-    // Per-LP safe horizon: nothing another stream executes this round can
-    // land in i below it (channel-clock argument, see the header).
-    SimTime horizon = cap;
-    for (size_t j = 1; j < n; ++j) {
-      // j == i is NOT skipped: Dist(i, i) is the shortest cycle through i
-      // (Floyd–Warshall's diagonal), and i's own sends can round-trip back
-      // to it — a request at next_i returns no earlier than next_i + that
-      // cycle, which bounds how far i itself may run ahead.
-      SimTime nj = next_[j];
-      SimDuration d = Dist(j, i);
-      if (nj == kNeverTime || d == kNeverTime || d >= kNeverTime - nj) {
-        continue;
-      }
-      horizon = std::min(horizon, nj + d);
+  const size_t n = stride_;
+  // Per-LP safe horizons: nothing another stream executes this round can
+  // land in i below min_j next_j + Dist(j, i) (channel-clock argument, see
+  // the header). One pass per source row j, saturating at kNeverTime. The
+  // j == i term is NOT skipped: Dist(i, i) is the shortest cycle through i
+  // (Floyd–Warshall's diagonal), and i's own sends can round-trip back to
+  // it — a request at next_i returns no earlier than next_i + that cycle,
+  // which bounds how far i itself may run ahead.
+  SimTime* horizon = horizon_.data();
+  std::fill(horizon + 1, horizon + n, cap);
+  for (size_t j = 1; j < n; ++j) {
+    const SimTime nj = next_[j];
+    if (nj == kNeverTime) {
+      continue;
     }
-    bool mail = mail_min_[i] != kNeverTime;
-    bool work = NextTime(c) < horizon;
-    if (!mail && !work) {
+    const SimDuration* row = dist_.data() + j * n;
+    for (size_t i = 1; i < n; ++i) {
+      SimTime h = nj + row[i];
+      h = h < nj ? kNeverTime : h;
+      horizon[i] = std::min(horizon[i], h);
+    }
+  }
+  // The legacy global window end, min(T0) + lookahead; kNeverTime when it
+  // does not exist, so no horizon counts as merged.
+  SimTime legacy_end = kNeverTime;
+  if (lookahead_ != kNeverTime && lookahead_ < kNeverTime - t0) {
+    legacy_end = t0 + lookahead_;
+  }
+  for (size_t i = 1; i < n; ++i) {
+    if (mail_min_[i] == kNeverTime && lp_next_[i] >= horizon[i]) {
       continue;  // idle LP: skips the round entirely, no stall spin
     }
-    c.wend = horizon;
-    if (lookahead_ != kNeverTime && lookahead_ < kNeverTime - t0 &&
-        horizon > t0 + lookahead_) {
-      ++c.windows_merged;  // wider than the legacy global min(T0)+lookahead
+    if (horizon[i] > legacy_end) {
+      ++windows_merged_[i];
     }
-    participants_.push_back(c.index);
+    participants_.push_back(static_cast<uint32_t>(i));
   }
   if (participants_.empty()) {
     return false;
@@ -433,43 +474,41 @@ bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
     lp::SetCurrentWindow(windows_);  // diagnostics for violation reports
   }
   // Flip the outbox side: this round's producers write the fresh side while
-  // destinations drain the side CollectOutboxes just skimmed.
+  // destinations drain the side FoldSummaries just recorded.
   parity_ ^= 1;
   return true;
 }
 
 void Simulator::DrainAllMail() {
   // Deliver every undelivered outbox event into its destination heap (both
-  // sides; at most one is nonempty per bucket). Coordinator-only, between
+  // parity sides; at most one per pair is nonempty). Coordinator-only, between
   // rounds: before serial instants — whose handlers may inspect any heap —
-  // and at run exit.
+  // and at run exit. Heaps change here and in the serial instant that may
+  // follow, so the cached next times are re-read at the next boundary.
   NC_LP_CHECK_COORDINATOR("Simulator::DrainAllMail");
-  for (Ctx& c : ctxs_) {
-    c.touched.clear();
-    for (size_t dest = 0; dest < c.out.size(); ++dest) {
-      OutBucket& bucket = c.out[dest];
-      for (std::vector<Event>& side : bucket.ev) {
-        if (side.empty()) {
-          continue;
-        }
-        Ctx& to = ctxs_[dest];
-        for (Event& ev : side) {
-          NC_CHECK(ev.time >= to.now)
-              << "cross-partition event lands at t=" << ev.time
-              << " ns, before its destination LP already reached t=" << to.now
-              << " ns; cross-partition schedules must carry at least the "
-                 "link-path propagation distance (run with --sim-threads=0 "
-                 "if the workload cannot)";
-          PushHeap(to, std::move(ev));
-        }
-        side.clear();
-      }
+  for (size_t b = 0; b < outbox_.size(); ++b) {
+    std::vector<Event>& mail = outbox_[b].ev;
+    if (mail.empty()) {
+      continue;
     }
+    Ctx& to = ctxs_[b % stride_];
+    for (Event& ev : mail) {
+      NC_CHECK(ev.time >= to.now)
+          << "cross-partition event lands at t=" << ev.time
+          << " ns, before its destination LP already reached t=" << to.now
+          << " ns; cross-partition schedules must carry at least the "
+             "link-path propagation distance (run with --sim-threads=0 "
+             "if the workload cannot)";
+      PushHeap(to, std::move(ev));
+    }
+    mail.clear();
   }
-  for (size_t i = 0; i < mail_min_.size(); ++i) {
-    mail_min_[i] = kNeverTime;
+  std::fill(mail_min_.begin(), mail_min_.end(), kNeverTime);
+  for (std::vector<uint32_t>& senders : senders_) {
+    senders.clear();
   }
   participants_.clear();
+  lp_next_stale_ = true;
 }
 
 void Simulator::RunSerialInstant(SimTime t) {
@@ -511,27 +550,33 @@ void Simulator::RunSerialInstant(SimTime t) {
   prof.set_arg(executed);
 }
 
-void Simulator::RunRound() {
+bool Simulator::InlineRound() const {
+  // Single lane (or a round too small to be worth a barrier): the
+  // coordinator runs the identical schedule alone. Content and counters
+  // cannot differ — this is the --sim-threads=1 byte-identity path.
+  return threads_ == 1 || participants_.size() == 1;
+}
+
+void Simulator::StartRound() {
   in_window_ = true;
-  const size_t nparts = participants_.size();
-  if (threads_ == 1 || nparts == 1) {
-    // Single lane (or a round too small to be worth a barrier): run the
-    // identical schedule inline. Content and counters cannot differ — this
-    // is the --sim-threads=1 byte-identity path.
+  if (InlineRound()) {
+    return;
+  }
+  StartWorkers();
+  for (BarrierNode& node : barrier_) {
+    node.count.store(0, std::memory_order_relaxed);
+  }
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+}
+
+void Simulator::RunRound(uint64_t& tick) {
+  if (InlineRound()) {
     for (uint32_t idx : participants_) {
-      RunLpWindow(ctxs_[idx]);
+      RunLpWindow(ctxs_[idx], tick);
     }
   } else {
-    StartWorkers();
-    for (BarrierNode& node : barrier_) {
-      node.count.store(0, std::memory_order_relaxed);
-    }
-    uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
-    epoch_.store(epoch, std::memory_order_release);
-    for (size_t k = 0; k < nparts; k += threads_) {
-      RunLpWindow(ctxs_[participants_[k]]);
-    }
-    ProfScope prof(ProfCat::kBarrierWait);
+    RunHomeWindows(0, tick);
+    const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
     int spins = 0;
     while (round_done_.load(std::memory_order_acquire) != epoch) {
       if (++spins >= 256) {
@@ -539,11 +584,22 @@ void Simulator::RunRound() {
         spins = 0;
       }
     }
+    tick = Profiler::RecordSince(ProfCat::kBarrierWait, 0, tick);
   }
   in_window_ = false;
 }
 
-void Simulator::RunLpWindow(Ctx& lp) {
+void Simulator::RunHomeWindows(size_t slot, uint64_t& tick) {
+  // Every LP always runs on the same worker, so its heap, lanes, pool shard
+  // and nodes stay in that core's cache from round to round.
+  for (uint32_t idx : participants_) {
+    if (home_[idx] == slot) {
+      RunLpWindow(ctxs_[idx], tick);
+    }
+  }
+}
+
+void Simulator::RunLpWindow(Ctx& lp, uint64_t& tick) {
   Ctx* prev = tls_ctx_;
   tls_ctx_ = &lp;
   // Publish the executing LP for the runtime ownership sanitizer: every
@@ -551,54 +607,58 @@ void Simulator::RunLpWindow(Ctx& lp) {
   // lp.index. Serial instants and boundary drains deliberately run with LP 0
   // (the coordinator), which the sanitizer lets touch anything.
   lp::ScopedExecutor lp_exec(lp.index);
-  DrainInbox(lp);
-  const SimTime wend = lp.wend;
+  LpSummary& slot = summaries_[lp.index];
+  const SimTime wend = horizon_[lp.index];
+  // Window setup and the inbox drain are booked as merge.
+  slot.mail.clear();  // the boundary folded last window's notes
+  const uint64_t merged = DrainInbox(lp);
   const Event* next = Peek(lp);
+  tick = Profiler::RecordSince(ProfCat::kMerge, lp.index, tick, merged);
   if (next == nullptr || next->time >= wend) {
     // Participated (mail forced the turn) but nothing executable below the
     // horizon. Counted (sim metric + profiler histogram bin 0) but never
-    // timed — stalls are too cheap to clock.
-    ++lp.stalls;
+    // timed — stalls are too cheap to clock; the chain books the stall
+    // check to whatever span follows.
+    ++slot.stalls;
     Profiler::CountWindowStall(lp.index);
+    slot.next = next == nullptr ? kNeverTime : next->time;
     tls_ctx_ = prev;
     return;
   }
-  {
-    ProfScope prof(ProfCat::kLpExecute, lp.index);
-    uint64_t before = lp.events;
-    do {
-      if (next->time != lp.now) {
-        SamplePeak(lp);
-      }
-      Event ev = Take(lp);
-      lp.now = ev.time;
-      ++lp.events;
-      DispatchIn(lp, ev, /*coalesce=*/true);
-      next = Peek(lp);
-    } while (next != nullptr && next->time < wend);
-    prof.set_arg(lp.events - before);
+  const uint64_t before = lp.events;
+  do {
+    if (next->time != lp.now) {
+      SamplePeak(lp);
+    }
+    Event ev = Take(lp);
+    lp.now = ev.time;
+    ++lp.events;
+    DispatchIn(lp, ev, /*coalesce=*/true);
+    next = Peek(lp);
+  } while (next != nullptr && next->time < wend);
+  // The summary the boundary folds, booked as execute: next pending time
+  // and each written bucket's earliest event, read from this LP's own
+  // outbox row.
+  slot.next = next == nullptr ? kNeverTime : next->time;
+  for (MailNote& note : slot.mail) {
+    note.min_time = Bucket(parity_, lp.index, note.dest).min_time;
   }
+  tick = Profiler::RecordSince(ProfCat::kLpExecute, lp.index, tick, lp.events - before);
   tls_ctx_ = prev;
 }
 
-void Simulator::DrainInbox(Ctx& lp) {
+uint64_t Simulator::DrainInbox(Ctx& lp) {
   // Merge last round's mail addressed to this LP — the outbox side producers
-  // are NOT writing this round — into the local heap. Runs on the LP's own
-  // lane, so the coordinator's boundary section no longer pays O(events)
-  // merge work. Mail always lands at or beyond the destination's horizon;
-  // the check against lp.now is the exact causality condition and fires
-  // identically at every worker count (the schedule is content-determined).
-  ProfScope prof(ProfCat::kMerge, lp.index);
+  // are NOT writing this round — into the local heap, visiting only the
+  // senders the boundary recorded. Runs on the LP's own worker, so the
+  // coordinator's boundary section pays no per-event merge work. Mail
+  // always lands at or beyond the destination's horizon; the check against
+  // lp.now is the exact causality condition and fires identically at every
+  // worker count (the schedule is content-determined).
   uint64_t merged = 0;
   const uint32_t side = parity_ ^ 1;
-  for (Ctx& src : ctxs_) {
-    if (&src == &lp || src.out.empty()) {
-      continue;
-    }
-    std::vector<Event>& mail = src.out[lp.index].ev[side];
-    if (mail.empty()) {
-      continue;
-    }
+  for (uint32_t src : senders_[lp.index]) {
+    std::vector<Event>& mail = Bucket(side, src, lp.index).ev;
     for (Event& ev : mail) {
       NC_CHECK(ev.time >= lp.now)
           << "cross-partition event lands at t=" << ev.time
@@ -611,7 +671,7 @@ void Simulator::DrainInbox(Ctx& lp) {
     }
     mail.clear();
   }
-  prof.set_arg(merged);
+  return merged;
 }
 
 void Simulator::StartWorkers() {
@@ -674,11 +734,13 @@ void Simulator::BarrierArrive(size_t worker, uint64_t epoch) {
 
 void Simulator::WorkerMain(size_t slot) {
   uint64_t seen = 0;
+  // This thread's spans are chained like the coordinator's (RunWindowed):
+  // the barrier span runs from the end of the worker's last window, through
+  // its arrival, to the next round's release. A spin that ends in shutdown
+  // is simulator teardown, not a stall, and is never recorded — it would
+  // book the whole post-run idle tail as barrier-wait.
+  uint64_t tick = Profiler::TickIfEnabled();
   for (;;) {
-    // Time the barrier park manually (no RAII): a spin that ends in shutdown
-    // is simulator teardown, not a stall, and must not be recorded — it
-    // would book the whole post-run idle tail as barrier-wait.
-    uint64_t wait_start = Profiler::TickIfEnabled();
     uint64_t e;
     int spins = 0;
     while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
@@ -691,10 +753,8 @@ void Simulator::WorkerMain(size_t slot) {
       }
     }
     seen = e;
-    Profiler::RecordSince(ProfCat::kBarrierWait, 0, wait_start);
-    for (size_t k = slot; k < participants_.size(); k += threads_) {
-      RunLpWindow(ctxs_[participants_[k]]);
-    }
+    tick = Profiler::RecordSince(ProfCat::kBarrierWait, 0, tick);
+    RunHomeWindows(slot, tick);
     BarrierArrive(slot - 1, seen);
   }
 }
@@ -774,14 +834,12 @@ size_t Simulator::PendingEvents() const {
   size_t n = 0;
   for (const Ctx& c : ctxs_) {
     n += c.heap.size() + c.heap_extra + c.lane_events;
-    for (const OutBucket& bucket : c.out) {
-      // Outbox mail is rare enough to weigh per event (burst records count
-      // as their group size, matching the heap accounting above).
-      for (const std::vector<Event>& side : bucket.ev) {
-        for (const Event& ev : side) {
-          n += ev.is_delivery ? RecWeight(ev.del) : 1;
-        }
-      }
+  }
+  // Outbox mail is rare enough to weigh per event (burst records count as
+  // their group size, matching the heap accounting above).
+  for (const OutBucket& bucket : outbox_) {
+    for (const Event& ev : bucket.ev) {
+      n += ev.is_delivery ? RecWeight(ev.del) : 1;
     }
   }
   return n;
@@ -809,6 +867,24 @@ uint64_t Simulator::burst_packets() const {
     n += c.burst_pkts;
   }
   return n;
+}
+
+uint64_t Simulator::lp_window_stalls(size_t lp) const {
+  NC_CHECK(lp <= num_lps()) << "no logical process " << lp << "; " << num_lps()
+                            << " are configured";
+  return summaries_[lp].stalls;
+}
+
+uint64_t Simulator::lp_windows_merged(size_t lp) const {
+  NC_CHECK(lp <= num_lps()) << "no logical process " << lp << "; " << num_lps()
+                            << " are configured";
+  return windows_merged_[lp];
+}
+
+uint64_t Simulator::lp_events(size_t lp) const {
+  NC_CHECK(lp <= num_lps()) << "no logical process " << lp << "; " << num_lps()
+                            << " are configured";
+  return ctxs_[lp].events;
 }
 
 uint64_t Simulator::event_queue_peak() const {

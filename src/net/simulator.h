@@ -82,14 +82,24 @@
 // Cross-partition events produced inside a round are buffered in per-
 // (source, destination) outbox buckets, double-buffered by round parity: the
 // producer appends to this round's side while the destination drains the
-// previous round's side into its own heap at the start of its next turn —
-// so the coordinator's boundary section only skims bucket minima (O(LPs)),
-// not every staged event. An LP with pending mail always participates in the
-// next round, which is what bounds every bucket's lifetime to one round per
-// side. Because keys are a total order, a context's pop sequence (heap and
-// lanes merged by Peek) depends only on its content set, so merge order is
-// irrelevant and the parallel run is byte-identical to the same round
-// schedule on one thread (--sim-threads=1).
+// previous round's side into its own heap at the start of its next turn.
+// Each LP window ends by publishing a summary into its own cache line: its
+// next pending time and, per bucket it wrote, the destination and the
+// earliest staged time. The coordinator's boundary section folds only the
+// participants' summaries, reuses the cached next times of LPs that sat the
+// round out (every context is re-read only when a run starts and after
+// DrainAllMail, i.e. around serial instants), and records per destination
+// which senders wrote mail, so a destination drains only those buckets. No
+// staged event and no idle LP's context is touched at the boundary. An LP
+// with pending mail always participates in the next round, which is what
+// bounds every bucket's lifetime to one round per side. Each LP runs on a
+// fixed home worker, (lp - 1) mod threads, so its heap and node state stay
+// in one core's cache (a round with a single participant runs inline on the
+// coordinator, without a barrier). Because keys are a total order, a
+// context's pop sequence (heap and lanes merged by Peek) depends only on its
+// content set, so merge order is irrelevant and the parallel run is
+// byte-identical to the same round schedule on one thread
+// (--sim-threads=1).
 //
 // Cross-LP scheduling contract (enforced fatally at drain time): a packet
 // delivery satisfies it by construction; a direct cross-LP ScheduleAtFor
@@ -309,11 +319,14 @@ class Simulator {
   // metrics JSON byte-for-byte). A window stall is a round an LP
   // participated in (forced by pending mail) but found no event below its
   // horizon; a merged window is a round whose per-LP horizon exceeded the
-  // legacy global min(T0)+lookahead window end. Both are schedule
-  // properties, identical across worker counts.
+  // legacy global min(T0)+lookahead window end; an LP's events are those of
+  // its stream, serial instants included. All three are schedule
+  // properties, identical across worker counts. `lp` must be at most
+  // num_lps() (0 is the global stream, which never stalls or merges).
   uint64_t event_queue_peak() const;
-  uint64_t lp_window_stalls(size_t lp) const { return ctxs_[lp].stalls; }
-  uint64_t lp_windows_merged(size_t lp) const { return ctxs_[lp].windows_merged; }
+  uint64_t lp_window_stalls(size_t lp) const;
+  uint64_t lp_windows_merged(size_t lp) const;
+  uint64_t lp_events(size_t lp) const;
   uint64_t windows_run() const { return windows_; }
 
   // Freelist for Packet payloads referenced by in-flight closures; resolves
@@ -381,15 +394,36 @@ class Simulator {
     }
   };
 
-  // One per-(source, destination) cross-partition mail bucket, double-
-  // buffered by round parity: the producing LP appends to side (round & 1)
-  // during a round; the destination drains side (1 - round & 1) — last
-  // round's mail — at the start of its next participating turn. The two
-  // sides are never touched by two threads at once, and the window barrier's
-  // release/acquire chain orders the side handoff.
-  struct OutBucket {
-    std::vector<Event> ev[2];
-    SimTime min_time[2] = {0, 0};  // valid while the side is nonempty
+  // One side of a per-(source, destination) cross-partition mail bucket.
+  // Buckets are double-buffered by round parity: the producing LP appends to
+  // side (round & 1) during a round; the destination drains side
+  // (1 - round & 1) — last round's mail — at the start of its next
+  // participating turn. Each side has its own cache line, so a producer
+  // filling one side never shares a line with the destination draining the
+  // other, and the window barrier's release/acquire chain orders the
+  // handoff.
+  struct alignas(64) OutBucket {
+    std::vector<Event> ev;
+    SimTime min_time = 0;  // valid while ev is nonempty
+  };
+
+  // A bucket an LP window wrote: its destination and earliest staged time.
+  struct MailNote {
+    uint32_t dest;
+    SimTime min_time;
+  };
+
+  // What one LP window leaves for the round boundary. Written only by the
+  // thread running that LP's window, read by the coordinator at the next
+  // boundary (barrier-ordered); one cache line per LP, so workers publishing
+  // neighbouring LPs never share one.
+  struct alignas(64) LpSummary {
+    NC_LP_OWNED SimTime next = kNeverTime;  // the LP's next event after the window
+    NC_LP_OWNED uint64_t stalls = 0;        // participating rounds with no local work
+    // Buckets this window's mail went to: Route appends a note at a bucket's
+    // first event of the round, the window's end fills in the minima, and
+    // the LP clears the list at the start of its next window.
+    NC_LP_OWNED std::vector<MailNote> mail;
   };
 
   // One event stream. ctxs_[0] is the global/legacy stream; ctxs_[1..P] are
@@ -403,22 +437,9 @@ class Simulator {
     NC_LP_OWNED uint64_t next_lseq = 0;
     NC_LP_OWNED uint64_t events = 0;
     NC_LP_OWNED uint64_t peak = 0;    // max heap size, sampled at timestamp advances
-    NC_LP_OWNED uint64_t stalls = 0;  // participating rounds with no local work
     NC_LP_OWNED uint64_t bursts = 0;
     NC_LP_OWNED uint64_t burst_pkts = 0;
     NC_LP_OWNED std::vector<Event> heap;  // explicit binary min-heap
-    // Cross-partition mail produced inside a round, one bucket per
-    // destination ctx index. The producing stream owns this round's parity
-    // side; each destination drains its own bucket's other side (see
-    // OutBucket). `touched` lists destinations whose current side went
-    // nonempty this round; the coordinator consumes and clears it at the
-    // boundary.
-    NC_LP_OWNED std::vector<OutBucket> out;
-    NC_LP_OWNED std::vector<uint32_t> touched;
-    // Per-round horizon and merged-window counter, written by the
-    // coordinator at the round boundary (barrier-ordered).
-    NC_LP_FENCED SimTime wend = 0;
-    NC_LP_FENCED uint64_t windows_merged = 0;
     // Scratch buffers for RunDelivery, members so steady state allocates
     // nothing per burst.
     NC_LP_OWNED std::vector<DeliveryRec> batch;
@@ -497,19 +518,27 @@ class Simulator {
     return (static_cast<uint64_t>(c.index) << kStreamShift) | c.next_lseq++;
   }
 
-  SimDuration Dist(size_t from, size_t to) const {
-    return dist_[from * ctxs_.size() + to];
+  // The bucket side `side` of mail from stream `src` to stream `dest`.
+  OutBucket& Bucket(uint32_t side, size_t src, size_t dest) {
+    return outbox_[(side * stride_ + src) * stride_ + dest];
   }
 
   void Route(Ctx& from, Ctx& to, Event ev);
   void RunWindowed(SimTime until);
   void RunSerialInstant(SimTime t);
-  void CollectOutboxes();
+  void FoldSummaries();
+  void DeliverGlobalMail(uint32_t src);
   bool BuildRound(SimTime t0, SimTime tg, SimTime until);
   void DrainAllMail();
-  void RunRound();
-  void RunLpWindow(Ctx& lp);
-  void DrainInbox(Ctx& lp);
+  // A round's windows run inline on the coordinator when this holds.
+  bool InlineRound() const;
+  void StartRound();
+  // Window runners take the calling thread's profiler chain tick (see
+  // Profiler::RecordSince) and advance it past the spans they record.
+  void RunRound(uint64_t& tick);
+  void RunHomeWindows(size_t slot, uint64_t& tick);
+  void RunLpWindow(Ctx& lp, uint64_t& tick);
+  uint64_t DrainInbox(Ctx& lp);
   void DispatchIn(Ctx& c, Event& ev, bool coalesce);
   void RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce);
   void StartWorkers();
@@ -541,18 +570,44 @@ class Simulator {
   NC_LP_SHARED std::vector<Link*> links_;  // wiring-time registry
   NC_LP_SHARED std::deque<Lane> lanes_;   // wiring-time; deque: lanes never move
 
-  // Per-link-clock state, coordinator-only between rounds: all-pairs
-  // shortest-path propagation distances (wiring-time, immutable after
-  // ConfigurePartitions), each stream's earliest pending time, the earliest
-  // undelivered mail per destination, and the participant list of the
-  // current round (read by workers after the epoch acquire).
+  // Wiring-time layout of parallel mode, all indexed by stream (P+1 of
+  // them; stride_ is that count). The outbox holds both parity sides of
+  // every (source, destination) bucket; a side belongs to whichever thread
+  // runs its producer (this round's side) or its destination (the other),
+  // see OutBucket. Each LP has one summary slot, written by its window, and
+  // one home worker slot, (lp - 1) mod threads_ (the coordinator is slot 0).
+  // Entry 0, the global stream, runs no window: its counters stay 0.
+  NC_LP_SHARED size_t stride_ = 1;
+  NC_LP_SHARED std::vector<OutBucket> outbox_;  // 2 * (P+1)^2: [side][src][dest]
+  NC_LP_SHARED std::vector<LpSummary> summaries_;
+  NC_LP_SHARED std::vector<uint32_t> home_;
+
+  // Per-link-clock state, coordinator-only between rounds (workers read
+  // horizon_, senders_ and participants_ after the epoch acquire):
+  //   - dist_: all-pairs shortest-path propagation distances (wiring-time,
+  //     immutable after ConfigurePartitions);
+  //   - lp_next_: each LP's next event as of its last summary, valid while
+  //     lp_next_stale_ is false (RunWindowed entry and DrainAllMail set it:
+  //     top-level code and serial instants schedule into heaps directly);
+  //   - next_: each LP's earliest pending time, mail included;
+  //   - mail_min_ and senders_: per destination, the earliest undelivered
+  //     mail and the streams whose bucket holds it;
+  //   - horizon_: this round's per-LP window end;
+  //   - windows_merged_: per LP, rounds wider than the legacy window;
+  //   - participants_: the current round's LPs, ascending.
   NC_LP_SHARED std::vector<SimDuration> dist_;  // (P+1)^2, row-major
+  NC_LP_FENCED std::vector<SimTime> lp_next_;
+  NC_LP_FENCED bool lp_next_stale_ = true;
   NC_LP_FENCED std::vector<SimTime> next_;
   NC_LP_FENCED std::vector<SimTime> mail_min_;
+  NC_LP_FENCED std::vector<std::vector<uint32_t>> senders_;
+  NC_LP_FENCED std::vector<SimTime> horizon_;
+  NC_LP_FENCED std::vector<uint64_t> windows_merged_;
   NC_LP_FENCED std::vector<uint32_t> participants_;
 
   // Persistent spin-barrier round workers (slots 1..threads_-1; the
-  // coordinator executes slot 0). Spawned lazily on the first multi-threaded
+  // coordinator executes slot 0). Each runs the participating LPs whose home
+  // is its slot. Spawned lazily on the first multi-threaded
   // round, joined in the destructor. Workers park on epoch_ and arrive
   // through the barrier tree; the root arrival publishes the epoch into
   // round_done_.

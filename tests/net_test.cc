@@ -1,6 +1,9 @@
 // Tests for the discrete-event simulator, links and nodes.
 
 #include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -439,6 +442,197 @@ TEST(ParallelSimTest, LaneRunsInItsNodesLpInKeyOrder) {
                                              {20, 600, 2},
                                              {13, 650, 2},
                                              {70, 777, 0}}));
+}
+
+// A node that logs every arrival with its instant and port.
+class ArrivalLogNode : public Node {
+ public:
+  ArrivalLogNode(std::string name, Simulator* sim) : Node(std::move(name)), sim_(sim) {}
+  void HandlePacket(const Packet& /*pkt*/, uint32_t in_port) override {
+    log.emplace_back(sim_->Now(), in_port);
+  }
+  std::vector<std::pair<SimTime, uint32_t>> log;
+
+ private:
+  Simulator* sim_;
+};
+
+// What a round schedule leaves observable, for comparing worker counts.
+struct ScheduleRun {
+  uint64_t events = 0;
+  uint64_t windows = 0;
+  std::vector<uint64_t> stalls;  // per LP, index 0 = the global stream
+  std::vector<uint64_t> merged;
+  std::vector<std::pair<SimTime, uint32_t>> arrivals;
+  std::vector<SimTime> far_fired;
+};
+
+// Three senders s1..s3 (LPs 1-3) each send a packet to r (LP 4) every
+// 150 ns, so r's inbox holds mail from all three after the same round. s1
+// also schedules an event 20 us ahead on q (LP 5, behind a 1 us link), so q
+// takes part in the next round only because of mail whose time lies beyond
+// its horizon: a stall.
+ScheduleRun RunFanIn(size_t sim_threads) {
+  Simulator sim;
+  SinkNode s1("s1");
+  SinkNode s2("s2");
+  SinkNode s3("s3");
+  ArrivalLogNode r("r", &sim);
+  SinkNode q("q");
+  std::vector<SinkNode*> senders = {&s1, &s2, &s3};
+  LinkConfig cfg;
+  cfg.bandwidth_gbps = 8.0;
+  cfg.propagation = 400;
+  std::vector<std::unique_ptr<Link>> links;
+  for (size_t i = 0; i < senders.size(); ++i) {
+    senders[i]->set_lp(static_cast<uint32_t>(1 + i));
+    links.push_back(std::make_unique<Link>(&sim, cfg));
+    links.back()->Connect(senders[i], 0, &r, static_cast<uint32_t>(i));
+  }
+  r.set_lp(4);
+  q.set_lp(5);
+  LinkConfig far = cfg;
+  far.propagation = 1000;
+  Link sq(&sim, far);
+  sq.Connect(&s1, 1, &q, 0);
+  EXPECT_TRUE(sim.ConfigurePartitions(5, sim_threads));
+
+  ScheduleRun run;
+  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
+  for (int k = 0; k < 40; ++k) {
+    SimTime at = static_cast<SimTime>(k) * 150;
+    for (SinkNode* s : senders) {
+      sim.ScheduleAtFor(s, at, [s, pkt] {
+        Packet p = pkt;
+        s->Send(0, p);
+      });
+    }
+    sim.ScheduleAtFor(&s1, at, [&sim, &q, &run] {
+      sim.ScheduleFor(&q, 20000, [&sim, &run] { run.far_fired.push_back(sim.Now()); });
+    });
+  }
+  sim.RunAll();
+  run.events = sim.events_processed();
+  run.windows = sim.windows_run();
+  for (size_t lp = 0; lp <= sim.num_lps(); ++lp) {
+    run.stalls.push_back(sim.lp_window_stalls(lp));
+    run.merged.push_back(sim.lp_windows_merged(lp));
+  }
+  run.arrivals = r.log;
+  return run;
+}
+
+TEST(ParallelSimTest, FanInMailAndStallsMatchAtEveryWorkerCount) {
+  ScheduleRun one = RunFanIn(1);
+  ASSERT_EQ(one.arrivals.size(), 120u);
+  EXPECT_EQ(one.far_fired.size(), 40u);
+  for (size_t k = 0; k < one.far_fired.size(); ++k) {
+    EXPECT_EQ(one.far_fired[k], k * 150 + 20000);
+  }
+  // Same-instant arrivals from the three senders run in stream order.
+  EXPECT_EQ(one.arrivals[0].second, 0u);
+  EXPECT_EQ(one.arrivals[1].second, 1u);
+  EXPECT_EQ(one.arrivals[2].second, 2u);
+  EXPECT_EQ(one.arrivals[0].first, one.arrivals[2].first);
+  EXPECT_GT(one.stalls[5], 0u);  // q took part only because of mail
+  EXPECT_EQ(one.stalls[0], 0u);
+  EXPECT_EQ(one.merged[0], 0u);
+  for (size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " workers");
+    ScheduleRun run = RunFanIn(threads);
+    EXPECT_EQ(run.events, one.events);
+    EXPECT_EQ(run.windows, one.windows);
+    EXPECT_EQ(run.stalls, one.stalls);
+    EXPECT_EQ(run.merged, one.merged);
+    EXPECT_EQ(run.arrivals, one.arrivals);
+    EXPECT_EQ(run.far_fired, one.far_fired);
+  }
+}
+
+// LP 1 (a) ticks every 100 ns up to 10 us; LP 2 (b) has one event at 50 us,
+// which is its published next time. Two schedules then move b's next event
+// earlier than that: a global event at 1 us (run in a serial instant)
+// schedules b for 1.5 us, and top-level code between two RunUntil calls
+// schedules b for 3.5 us. Each of b's early events sends a packet to a, so
+// a boundary that kept b's stale next time would let a run past the
+// packet's arrival, and the drain's causality check would abort.
+struct CachedNextRun {
+  std::vector<SimTime> b_fired;
+  std::vector<std::pair<SimTime, uint32_t>> a_log;  // ticks (port 99) and arrivals
+};
+
+CachedNextRun RunEarlierThanPublished(size_t sim_threads) {
+  Simulator sim;
+  ArrivalLogNode a("a", &sim);
+  SinkNode b("b");
+  a.set_lp(1);
+  b.set_lp(2);
+  LinkConfig cfg;
+  cfg.bandwidth_gbps = 8.0;
+  cfg.propagation = 400;
+  Link link(&sim, cfg);
+  link.Connect(&a, 0, &b, 0);
+  EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+
+  CachedNextRun run;
+  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
+  auto b_event = [&sim, &b, &run, pkt] {
+    run.b_fired.push_back(sim.Now());
+    Packet p = pkt;
+    b.Send(0, p);
+  };
+  for (int k = 0; k <= 100; ++k) {
+    sim.ScheduleAtFor(&a, static_cast<SimTime>(k) * 100,
+                      [&sim, &a] { a.log.emplace_back(sim.Now(), 99); });
+  }
+  sim.ScheduleAtFor(&b, 50000, b_event);
+  sim.ScheduleGlobalAt(1000, [&sim, &b, b_event] { sim.ScheduleAtFor(&b, 1500, b_event); });
+  sim.RunUntil(3000);
+  sim.ScheduleAtFor(&b, 3500, b_event);
+  sim.RunAll();
+  run.a_log = a.log;
+  return run;
+}
+
+TEST(ParallelSimTest, EarlierEventThanPublishedNextStillFiresOnTime) {
+  CachedNextRun one = RunEarlierThanPublished(1);
+  EXPECT_EQ(one.b_fired, (std::vector<SimTime>{1500, 3500, 50000}));
+  const SimTime hop = MakeGet(1, 2, Key::FromUint64(1), 1).WireSize() + 400;
+  std::vector<SimTime> arrivals;
+  for (size_t i = 0; i < one.a_log.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LE(one.a_log[i - 1].first, one.a_log[i].first);
+    }
+    if (one.a_log[i].second == 0) {
+      arrivals.push_back(one.a_log[i].first);
+    }
+  }
+  EXPECT_EQ(arrivals, (std::vector<SimTime>{1500 + hop, 3500 + hop, 50000 + hop}));
+  for (size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " workers");
+    CachedNextRun run = RunEarlierThanPublished(threads);
+    EXPECT_EQ(run.b_fired, one.b_fired);
+    EXPECT_EQ(run.a_log, one.a_log);
+  }
+}
+
+TEST(ParallelSimDeathTest, PerLpCountersRejectUnknownLp) {
+  Simulator sim;
+  SinkNode a("a");
+  SinkNode b("b");
+  a.set_lp(1);
+  b.set_lp(2);
+  LinkConfig cfg;
+  cfg.propagation = 400;
+  Link link(&sim, cfg);
+  link.Connect(&a, 0, &b, 0);
+  EXPECT_EQ(sim.lp_window_stalls(0), 0u);  // serial mode: only the global stream
+  EXPECT_DEATH(sim.lp_window_stalls(1), "no logical process 1");
+  ASSERT_TRUE(sim.ConfigurePartitions(2, 1));
+  EXPECT_EQ(sim.lp_windows_merged(2), 0u);
+  EXPECT_DEATH(sim.lp_window_stalls(3), "no logical process 3");
+  EXPECT_DEATH(sim.lp_windows_merged(3), "no logical process 3");
+  EXPECT_DEATH(sim.lp_events(7), "no logical process 7");
 }
 
 }  // namespace

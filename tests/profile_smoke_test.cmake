@@ -51,6 +51,10 @@ endif()
 if(NOT out MATCHES "Per-lane wall-clock attribution")
   message(FATAL_ERROR "report missing attribution table:\n${out}")
 endif()
+# Two workers: the per-worker execute balance follows the table.
+if(NOT out MATCHES "worker balance: max/mean execute [0-9.]+ over 2 DES lane\\(s\\)")
+  message(FATAL_ERROR "report missing the worker-balance line:\n${out}")
+endif()
 if(NOT out MATCHES "Events per LP-window")
   message(FATAL_ERROR "report missing events-per-window histogram:\n${out}")
 endif()

@@ -161,7 +161,8 @@ TEST(ProfilerTest, InstallHookAndScopes) {
     scope.set_arg(3);
     EXPECT_FALSE(ProfilingEnabled());
     EXPECT_EQ(Profiler::TickIfEnabled(), 0u);
-    Profiler::RecordSince(ProfCat::kBarrierWait, 0, 123);  // must not crash
+    // Must not crash; a chain cannot start without a profiler.
+    EXPECT_EQ(Profiler::RecordSince(ProfCat::kBarrierWait, 0, 123), 0u);
     Profiler::CountWindowStall(1);
   }
 
@@ -181,14 +182,21 @@ TEST(ProfilerTest, InstallHookAndScopes) {
   EXPECT_EQ(prof.spans_recorded(), 1u);
   uint64_t tick = Profiler::TickIfEnabled();
   EXPECT_GT(tick, 0u);
-  Profiler::RecordSince(ProfCat::kBarrierWait, 0, tick);
+  // RecordSince returns its end tick, the next chained span's start.
+  uint64_t next = Profiler::RecordSince(ProfCat::kBarrierWait, 0, tick);
+  EXPECT_GE(next, tick);
   EXPECT_EQ(prof.spans_recorded(), 2u);
+  EXPECT_GE(Profiler::RecordSince(ProfCat::kMerge, 0, next), next);
+  EXPECT_EQ(prof.spans_recorded(), 3u);
+  // A zero start records nothing but still starts a chain.
+  EXPECT_GT(Profiler::RecordSince(ProfCat::kMerge, 0, 0), 0u);
+  EXPECT_EQ(prof.spans_recorded(), 3u);
   Profiler::CountWindowStall(1);
 
   EXPECT_EQ(InstallProfiler(nullptr), &prof);
   EXPECT_FALSE(ProfilingEnabled());
   { ProfScope scope(ProfCat::kLpExecute, 1); }
-  EXPECT_EQ(prof.spans_recorded(), 2u);  // uninstalled: nothing recorded
+  EXPECT_EQ(prof.spans_recorded(), 3u);  // uninstalled: nothing recorded
 #endif
 }
 

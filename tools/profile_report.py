@@ -266,6 +266,14 @@ def report(doc: dict, min_attributed: float) -> int:
     overall = total_attr / total_extent if total_extent else 0.0
     print(f"  overall: {100.0 * overall:.1f}% of DES-lane wall-clock attributed "
           f"to execute+barrier+merge+fence+coordinate ({len(des_lanes)} lane(s))")
+    # Worker balance: how evenly the DES lanes (one per worker thread) share
+    # the execute time. Per-LP busy time (below) measures the topology's load
+    # split instead; an uneven LP split can still run on balanced workers.
+    exec_ns = [l["cats"]["lp_execute"]["ns"] for l in des_lanes]
+    if exec_ns and sum(exec_ns) > 0:
+        balance = max(exec_ns) / (sum(exec_ns) / len(exec_ns))
+        print(f"  worker balance: max/mean execute {balance:.2f} over "
+              f"{len(exec_ns)} DES lane(s)")
 
     # Switch pipeline: nested inside lp_execute, reported as a breakdown of it.
     switch_total = sum(l["cats"][c]["ns"] for l in lanes for c in SWITCH_CATS)
