@@ -1,6 +1,7 @@
 #include "bench/bench_harness.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "common/cli.h"
@@ -20,10 +21,16 @@ BenchHarness::BenchHarness(int argc, char** argv, std::string name)
   sim_threads_ = static_cast<size_t>(args.GetInt("sim-threads", 0));
   effective_sim_threads_.store(sim_threads_, std::memory_order_relaxed);
   serial_ = args.GetBool("serial", false);
+  size_t profile_limit = static_cast<size_t>(args.GetInt("profile-limit", 1 << 18));
+  if (!args.ok()) {
+    for (const std::string& err : args.errors()) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
+    }
+    std::exit(2);
+  }
   if (!profile_out_.empty()) {
     Profiler::Options popts;
-    popts.spans_per_lane =
-        static_cast<size_t>(args.GetInt("profile-limit", 1 << 18));
+    popts.spans_per_lane = profile_limit;
     profiler_ = std::make_unique<Profiler>(popts);
     InstallProfiler(profiler_.get());
   }

@@ -9,7 +9,7 @@
 // throughput measure the perf regression gate watches.
 //
 // Flags (parsed from main's argv; unknown flags are ignored so google-benchmark
-// style flags can coexist):
+// style flags can coexist, and a malformed value exits 2 before any trial):
 //   --json=PATH        write {bench, seed, config, trials:[...]} JSON
 //   --seed=N           root seed for randomized benches (default 42)
 //   --threads=N        worker threads for ParallelSweep-driven benches

@@ -208,6 +208,12 @@ int main(int argc, char** argv) {
   netcache::SimDuration des_duration =
       static_cast<netcache::SimDuration>(args.GetInt("des-duration-ms", 200)) *
       netcache::kMillisecond;
+  if (!args.ok()) {
+    for (const std::string& err : args.errors()) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
+    }
+    return 2;
+  }
   netcache::Run(harness, des_racks, des_duration);
   return harness.Finish();
 }

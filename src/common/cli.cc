@@ -40,6 +40,10 @@ int64_t ArgParser::GetInt(const std::string& name, int64_t def) {
     errors_.push_back("--" + name + " expects an integer, got '" + it->second + "'");
     return def;
   }
+  if (v < 0) {
+    errors_.push_back("--" + name + " must not be negative, got '" + it->second + "'");
+    return def;
+  }
   return v;
 }
 

@@ -2,7 +2,9 @@
 //
 // Accepts `--name=value`, `--name value`, and bare `--name` (boolean true);
 // everything else is positional. Typed getters record an error instead of
-// aborting so tools can print usage.
+// aborting so tools can print usage. GetInt rejects negative values: every
+// integer flag is a count, a size, a duration or a seed, and callers cast the
+// result to an unsigned type.
 
 #ifndef NETCACHE_COMMON_CLI_H_
 #define NETCACHE_COMMON_CLI_H_

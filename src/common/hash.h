@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace netcache {
 
@@ -38,8 +37,6 @@ uint64_t HashBytes(const void* data, size_t len);
 // load-bearing identity: a digest's first hash can stand in for HashBytes
 // wherever a KeyHasher-keyed table stores precomputed hashes.
 uint64_t HashBytesUnmixed(const void* data, size_t len);
-
-inline uint64_t HashStringView(std::string_view s) { return HashBytes(s.data(), s.size()); }
 
 // A seeded hash: independent functions for distinct seeds. Suitable for
 // sketch rows (approximately pairwise independent on fixed-length keys).

@@ -51,8 +51,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
 LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {

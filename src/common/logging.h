@@ -5,9 +5,8 @@
 //   NC_CHECK(index < size) << "index out of range: " << index;
 //
 // The log level is process-global and defaults to WARN so library code stays
-// quiet in benchmarks; tests and examples may raise it. The initial level can
-// be set with the NETCACHE_LOG_LEVEL environment variable (a level name such
-// as "debug", or its numeric value 0-4).
+// quiet in benchmarks. The NETCACHE_LOG_LEVEL environment variable sets it at
+// start-up (a level name such as "debug", or its numeric value 0-4).
 
 #ifndef NETCACHE_COMMON_LOGGING_H_
 #define NETCACHE_COMMON_LOGGING_H_
@@ -25,7 +24,6 @@ enum class LogLevel : int {
   kFatal = 4,
 };
 
-void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 class LogMessage {

@@ -24,8 +24,6 @@ uint32_t CurrentLp() { return tls_current_lp; }
 
 void SetCurrentWindow(uint64_t window) { g_current_window = window; }
 
-uint64_t CurrentWindow() { return g_current_window; }
-
 ScopedExecutor::ScopedExecutor(uint32_t lp) : prev_(tls_current_lp) {
   tls_current_lp = lp;
 }

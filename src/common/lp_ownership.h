@@ -97,7 +97,6 @@ uint32_t CurrentLp();
 // Diagnostic context: the lookahead window ordinal the coordinator most
 // recently opened (approximate across simulators — diagnostics only).
 void SetCurrentWindow(uint64_t window);
-uint64_t CurrentWindow();
 
 // Installs `lp` as the calling thread's executing LP for the current scope
 // (simulator window workers and serial-instant dispatch). Restores the

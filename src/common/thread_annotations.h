@@ -5,7 +5,6 @@
 // common/lp_ownership.h), but several substrates are specified as
 // concurrently accessible and are exercised by real threads in tests and the
 // TSan CI leg:
-//   - kvstore/sharded_store.h: one mutex per shard (per-core sharding, §6)
 //   - server/storage_server.*: the KV store is reachable from both the
 //     simulated data path and the controller's control channel
 //   - common/thread_pool.h: the sweep engine's task queue

@@ -17,7 +17,6 @@ inline constexpr SimDuration kMillisecond = 1000 * kMicrosecond;
 inline constexpr SimDuration kSecond = 1000 * kMillisecond;
 
 inline constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / 1e9; }
-inline constexpr double ToMicros(SimDuration d) { return static_cast<double>(d) / 1e3; }
 
 }  // namespace netcache
 

@@ -87,12 +87,6 @@ void CacheController::ScheduleEpochReset() {
     // (§4.4.3); then the next epoch begins.
     switch_->ResetStatistics();
     ++stats_.epochs;
-    if (config_.defrag_every_epochs > 0 && stats_.epochs % config_.defrag_every_epochs == 0) {
-      // §4.4.2 periodic reorganization: open up a full-width row per pipe.
-      for (size_t pipe = 0; pipe < switch_->config().num_pipes; ++pipe) {
-        stats_.defrag_moves += switch_->Defragment(pipe, switch_->config().num_stages);
-      }
-    }
     ScheduleEpochReset();
   });
 }

@@ -49,11 +49,6 @@ struct ControllerConfig {
   // Dirty-entry flush cycle, used only when the switch runs in the
   // experimental write-back mode (§5).
   SimDuration write_back_flush_interval = 100 * kMillisecond;
-  // Periodic memory reorganization (§4.4.2: "periodic memory reorganization
-  // is still needed to pack small values ... to make room for large
-  // values"). Every this-many epochs the controller compacts each pipe so a
-  // full-width value can fit. 0 disables.
-  size_t defrag_every_epochs = 0;
   // Heavy-hitter threshold auto-tuning (§4.4.3: "the sample rate can be
   // dynamically configured by the controller", likewise the threshold).
   // When > 0, the controller doubles the switch's hot threshold whenever an

@@ -3,14 +3,13 @@
 // chains of heap nodes; the bucket array doubles when the load factor
 // exceeds 1 and halves when it drops below 1/8, keeping chains O(1) expected.
 //
-// This is the storage-server substrate: simple, allocation-per-node (like
-// TommyDS objects), single-threaded per shard (shards provide concurrency,
-// see sharded_store.h, mirroring per-core sharding with RSS).
+// This is the storage-server substrate: simple and allocation-per-node (like
+// TommyDS objects).
 //
 // Thread safety: externally synchronized. Owners that share a table across
 // threads hold it behind a Mutex and annotate the member NC_GUARDED_BY (see
-// common/thread_annotations.h; sharded_store.h and storage_server.h are the
-// two annotated owners), so `clang -Wthread-safety` checks the discipline.
+// common/thread_annotations.h; storage_server.h is the annotated owner), so
+// `clang -Wthread-safety` checks the discipline.
 
 #ifndef NETCACHE_KVSTORE_HASH_TABLE_H_
 #define NETCACHE_KVSTORE_HASH_TABLE_H_

@@ -28,10 +28,12 @@ size_t StorageServer::CoreOf(const Key& key) const {
 }
 
 size_t StorageServer::CoreOfDigest(const KeyDigest& digest) const {
+  // The RSS hash seed (ASCII "RSSH"), shared by every server.
+  constexpr uint64_t kCoreHashSeed = 0x52535348;
   if (config_.num_cores == 1) {
     return 0;
   }
-  return static_cast<size_t>(digest.Probe(config_.core_hash_seed) % config_.num_cores);
+  return static_cast<size_t>(digest.Probe(kCoreHashSeed) % config_.num_cores);
 }
 
 size_t StorageServer::QueueDepth() const {

@@ -69,7 +69,6 @@ struct ServerConfig {
   // a query is steered to the core owning its key's hash — so a single hot
   // key can only ever be served at one core's rate, the §1 amplification.
   size_t num_cores = 1;
-  uint64_t core_hash_seed = 0x52535348;
   CoherenceMode coherence = CoherenceMode::kWriteThroughAsync;
 };
 

@@ -20,18 +20,6 @@ CountMinSketch::CountMinSketch(size_t depth, size_t width, uint64_t seed)
   }
 }
 
-uint32_t CountMinSketch::UpdateConservative(const KeyDigest& digest) {
-  uint32_t current = Estimate(digest);
-  uint32_t target = current < kMaxCounter ? current + 1 : current;
-  for (size_t d = 0; d < depth_; ++d) {
-    uint16_t& slot = rows_[d][RowIndex(d, digest)];
-    if (slot < target) {
-      slot = static_cast<uint16_t>(target);
-    }
-  }
-  return target;
-}
-
 uint32_t CountMinSketch::Estimate(const KeyDigest& digest) const {
   uint32_t est = kMaxCounter;
   for (size_t d = 0; d < depth_; ++d) {

@@ -50,13 +50,6 @@ class CountMinSketch {
     return est;
   }
 
-  // Conservative update: only increments rows currently at the minimum.
-  // Not used by the paper's prototype; provided for the ablation bench.
-  uint32_t UpdateConservative(const Key& key) {
-    return UpdateConservative(KeyDigest::Of(key));
-  }
-  uint32_t UpdateConservative(const KeyDigest& digest);
-
   // Point estimate without updating.
   uint32_t Estimate(const Key& key) const { return Estimate(KeyDigest::Of(key)); }
   uint32_t Estimate(const KeyDigest& digest) const;

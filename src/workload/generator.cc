@@ -20,8 +20,6 @@ uint64_t WorkloadGenerator::SampleRank(Rng& rng) const {
   return rng.NextBounded(config_.num_keys);
 }
 
-uint64_t WorkloadGenerator::SampleReadRank(Rng& rng) const { return SampleRank(rng); }
-
 Value WorkloadGenerator::ValueFor(uint64_t key_id, size_t value_size, uint64_t version) {
   return Value::Filler(key_id * 0x9e3779b97f4a7c15ull + version, value_size);
 }

@@ -57,9 +57,6 @@ class WorkloadGenerator {
   const PopularityMap& popularity() const { return popularity_; }
   const WorkloadConfig& config() const { return config_; }
 
-  // Samples a read rank without consuming the main sequence (diagnostics).
-  uint64_t SampleReadRank(Rng& rng) const;
-
  private:
   uint64_t SampleRank(Rng& rng) const;
 

@@ -53,10 +53,13 @@ TEST(ArgParserTest, DefaultsWhenAbsent) {
 }
 
 TEST(ArgParserTest, BadIntegerRecordsError) {
-  ArgParser args = Parse({"prog", "--servers=banana"});
-  EXPECT_EQ(args.GetInt("servers", 7), 7);
-  EXPECT_FALSE(args.ok());
-  ASSERT_EQ(args.errors().size(), 1u);
+  // A negative count would wrap to nearly 2^64 in the callers' unsigned casts.
+  for (const char* bad : {"--servers=banana", "--servers=-1"}) {
+    ArgParser args = Parse({"prog", bad});
+    EXPECT_EQ(args.GetInt("servers", 7), 7) << bad;
+    EXPECT_FALSE(args.ok()) << bad;
+    ASSERT_EQ(args.errors().size(), 1u) << bad;
+  }
 }
 
 TEST(ArgParserTest, BadDoubleRecordsError) {

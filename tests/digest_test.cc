@@ -72,15 +72,6 @@ TEST(KeyDigestTest, CountMinKeyAndDigestOverloadsIdentical) {
   }
 }
 
-TEST(KeyDigestTest, CountMinConservativeIdentical) {
-  CountMinSketch by_key(4, 1024, 43);
-  CountMinSketch by_digest(4, 1024, 43);
-  for (const Key& key : RandomKeys(kNumKeys, 104)) {
-    EXPECT_EQ(by_key.UpdateConservative(key),
-              by_digest.UpdateConservative(KeyDigest::Of(key)));
-  }
-}
-
 TEST(KeyDigestTest, BloomKeyAndDigestOverloadsIdentical) {
   BloomFilter by_key(3, 1 << 16, 7);
   BloomFilter by_digest(3, 1 << 16, 7);

@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "kvstore/hash_table.h"
 #include "kvstore/kv_store.h"
-#include "kvstore/sharded_store.h"
 #include "workload/generator.h"
 
 namespace netcache {
@@ -216,49 +215,6 @@ TEST(KvStoreTest, ForEachEnumerates) {
     ++n;
   });
   EXPECT_EQ(n, 10u);
-}
-
-TEST(ShardedStoreTest, RoutesConsistently) {
-  ShardedStore store(8);
-  Key k = Key::FromUint64(42);
-  size_t shard = store.ShardOf(k);
-  store.Put(k, Value::FromString("v"));
-  EXPECT_EQ(store.ShardOf(k), shard);
-  EXPECT_EQ(store.shard(shard).size(), 1u);
-  EXPECT_TRUE(store.Get(k).ok());
-  EXPECT_TRUE(store.Delete(k).ok());
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(ShardedStoreTest, SpreadsKeysAcrossShards) {
-  ShardedStore store(16);
-  for (uint64_t i = 0; i < 16000; ++i) {
-    store.Put(Key::FromUint64(i), Value::FromString("v"));
-  }
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    // Each shard should hold roughly 1000 +- 20%.
-    EXPECT_GT(store.shard(s).size(), 800u);
-    EXPECT_LT(store.shard(s).size(), 1200u);
-  }
-}
-
-TEST(ShardedStoreTest, AccessCountsObserveSkew) {
-  // Per-core sharding amplifies skew (§1): all accesses to one hot key land
-  // on one shard.
-  ShardedStore store(4);
-  Key hot = Key::FromUint64(7);
-  store.Put(hot, Value::FromString("v"));
-  store.ResetAccessCounts();
-  for (int i = 0; i < 100; ++i) {
-    store.Get(hot);
-  }
-  size_t hot_shard = store.ShardOf(hot);
-  EXPECT_EQ(store.shard_accesses(hot_shard), 100u);
-  for (size_t s = 0; s < 4; ++s) {
-    if (s != hot_shard) {
-      EXPECT_EQ(store.shard_accesses(s), 0u);
-    }
-  }
 }
 
 }  // namespace

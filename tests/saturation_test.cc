@@ -151,6 +151,13 @@ TEST(SaturationTest, GoldenRegressionValues) {
   cfg.cache_size = 10'000;
   cfg.exact_ranks = 262'144;
   EXPECT_NEAR(SolveSaturation(cfg).total_qps, 2.458e9, 0.005 * 2.458e9);
+  // Fig 1 (b): one server-class cache front (10 MQPS) is itself the
+  // bottleneck, at 0.1x the NoCache total below.
+  SaturationConfig front = cfg;
+  front.switch_capacity_qps = 10e6;
+  SaturationResult front_result = SolveSaturation(front);
+  EXPECT_NEAR(front_result.total_qps, 2.03e7, 0.005 * 2.03e7);
+  EXPECT_EQ(front_result.limited_by, "switch");
   cfg.cache_size = 0;
   EXPECT_NEAR(SolveSaturation(cfg).total_qps, 1.856e8, 0.005 * 1.856e8);
   cfg.zipf_alpha = 0.0;

@@ -65,20 +65,6 @@ TEST(CountMinTest, UpdateReturnsPostEstimate) {
   EXPECT_EQ(cms.Update(K(9)), 2u);
 }
 
-TEST(CountMinTest, ConservativeNotAboveStandard) {
-  CountMinSketch plain(4, 64, 5);
-  CountMinSketch cons(4, 64, 5);
-  Rng rng(8);
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t k = rng.NextBounded(500);
-    plain.Update(K(k));
-    cons.UpdateConservative(K(k));
-  }
-  for (uint64_t k = 0; k < 500; ++k) {
-    EXPECT_LE(cons.Estimate(K(k)), plain.Estimate(K(k)));
-  }
-}
-
 TEST(CountMinTest, ResetClears) {
   CountMinSketch cms(4, 256, 6);
   cms.Update(K(1));

@@ -1,15 +1,14 @@
-// Threaded exercises for the mutex-protected paths (the control channel and
-// the sharded store). Under a normal build these are smoke tests; the CI
-// matrix also runs them under -DNETCACHE_SANITIZE=TSAN, where any data race
-// in the annotated sections aborts the test. The simulator itself stays
-// single-threaded — only the §4.2 control plane is specified as concurrent.
+// Threaded exercises for the mutex-protected control channel. Under a normal
+// build these are smoke tests; the CI matrix also runs them under
+// -DNETCACHE_SANITIZE=TSAN, where any data race in the annotated sections
+// aborts the test. The simulator itself stays single-threaded — only the
+// §4.2 control plane is specified as concurrent.
 
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "kvstore/sharded_store.h"
 #include "net/simulator.h"
 #include "proto/value.h"
 #include "server/storage_server.h"
@@ -18,45 +17,6 @@ namespace netcache {
 namespace {
 
 Key K(uint64_t id) { return Key::FromUint64(id); }
-
-TEST(ThreadSafetyTest, ShardedStoreConcurrentMixedOps) {
-  ShardedStore store(8);
-  constexpr int kThreads = 4;
-  constexpr int kOps = 5000;
-  constexpr uint64_t kKeySpace = 64;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, t] {
-      for (int i = 0; i < kOps; ++i) {
-        Key key = K(static_cast<uint64_t>(t * 31 + i) % kKeySpace);
-        switch (i % 3) {
-          case 0:
-            store.Put(key, Value::Filler(static_cast<uint64_t>(i), 32));
-            break;
-          case 1: {
-            Result<Value> r = store.Get(key);
-            (void)r;
-            break;
-          }
-          default:
-            (void)store.Delete(key);
-            break;
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
-  EXPECT_LE(store.size(), kKeySpace);
-
-  uint64_t accesses = 0;
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    accesses += store.shard_accesses(s);
-  }
-  EXPECT_EQ(accesses, static_cast<uint64_t>(kThreads) * kOps);
-}
 
 TEST(ThreadSafetyTest, ControlChannelConcurrentFetchAndApply) {
   Simulator sim;

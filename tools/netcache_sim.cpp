@@ -175,8 +175,19 @@ int RunRack(ArgParser& args) {
   // serialized trace is byte-identical at any worker count as long as the
   // ring did not wrap (checked after the run).
   size_t trace_limit = static_cast<size_t>(args.GetInt("trace-limit", 65536));
+  WorkloadConfig wl;
+  wl.num_keys = num_keys;
+  wl.zipf_alpha = args.GetDouble("zipf", 0.99);
+  wl.write_ratio = args.GetDouble("write-ratio", 0.0);
+  wl.skewed_writes = args.GetBool("skewed-writes", false);
+  wl.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  DriverConfig dc;
+  dc.rate_qps = args.GetDouble("offered", 100e3);
+  std::string trace_path = args.GetString("trace", "");
   double check_interval_s = 0;
   bool check_invariants = ParseCheckInvariants(args, &check_interval_s);
+  // Every flag is read above, so a malformed one stops the run before any
+  // simulation or output file.
   if (!args.ok()) {
     return 2;
   }
@@ -219,12 +230,6 @@ int RunRack(ArgParser& args) {
     InstallTraceRecorder(tracer.get());
   }
 
-  WorkloadConfig wl;
-  wl.num_keys = num_keys;
-  wl.zipf_alpha = args.GetDouble("zipf", 0.99);
-  wl.write_ratio = args.GetDouble("write-ratio", 0.0);
-  wl.skewed_writes = args.GetBool("skewed-writes", false);
-  wl.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   WorkloadGenerator gen(wl);
 
   if (cfg.cache_enabled) {
@@ -236,10 +241,7 @@ int RunRack(ArgParser& args) {
     rack.StartController();
   }
 
-  DriverConfig dc;
-  dc.rate_qps = args.GetDouble("offered", 100e3);
   std::unique_ptr<TraceReplayer> replay;
-  std::string trace_path = args.GetString("trace", "");
   if (!trace_path.empty()) {
     std::ifstream in(trace_path);
     if (!in) {
