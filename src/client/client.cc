@@ -1,5 +1,6 @@
 #include "client/client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,7 +9,7 @@
 namespace netcache {
 
 Client::Client(Simulator* sim, std::string name, const ClientConfig& config)
-    : Node(std::move(name)), sim_(sim), config_(config) {
+    : Node(std::move(name)), sim_(sim), config_(config), outstanding_(kInitialOutstandingSlots) {
   NC_CHECK(sim != nullptr);
   timeout_lane_ = sim_->OpenLane(this, config_.reply_timeout);
 }
@@ -31,7 +32,11 @@ void Client::Delete(IpAddress server, const Key& key, ResponseCallback cb) {
 void Client::SendQuery(Packet pkt, ResponseCallback cb) {
   uint32_t seq = next_seq_++;
   pkt.nc.seq = seq;
-  outstanding_[seq] = Pending{std::move(cb), sim_->Now()};
+  if (outstanding_[seq & (outstanding_.size() - 1)].live) {
+    GrowOutstanding(seq);
+  }
+  outstanding_[seq & (outstanding_.size() - 1)] = Pending{std::move(cb), sim_->Now(), seq, true};
+  ++live_;
   if (TraceEnabled()) {
     TraceSpan(TraceEvent::kClientSend, TraceQueryId(pkt), sim_->Now(), config_.ip,
               static_cast<uint64_t>(pkt.nc.op));
@@ -40,12 +45,11 @@ void Client::SendQuery(Packet pkt, ResponseCallback cb) {
 
   // Node-affine: the lane runs in this client's partition.
   sim_->ScheduleInLane(timeout_lane_, [this, seq] {
-    auto it = outstanding_.find(seq);
-    if (it == outstanding_.end()) {
+    Pending* live = FindOutstanding(seq);
+    if (live == nullptr) {
       return;  // answered in time
     }
-    Pending pending = std::move(it->second);
-    outstanding_.erase(it);
+    Pending pending = TakeOutstanding(live);
     ++stats_.timeouts;
     if (TraceEnabled()) {
       TraceSpan(TraceEvent::kClientTimeout,
@@ -61,12 +65,11 @@ void Client::HandlePacket(const Packet& pkt, uint32_t /*in_port*/) {
   if (!pkt.is_netcache || !IsReplyOp(pkt.nc.op)) {
     return;
   }
-  auto it = outstanding_.find(pkt.nc.seq);
-  if (it == outstanding_.end()) {
+  Pending* live = FindOutstanding(pkt.nc.seq);
+  if (live == nullptr) {
     return;  // late reply after timeout; drop
   }
-  Pending pending = std::move(it->second);
-  outstanding_.erase(it);
+  Pending pending = TakeOutstanding(live);
   ++stats_.replies;
   latency_.Record(sim_->Now() - pending.sent_at);
   if (TraceEnabled()) {
@@ -84,6 +87,40 @@ void Client::HandlePacket(const Packet& pkt, uint32_t /*in_port*/) {
   }
 }
 
+Client::Pending* Client::FindOutstanding(uint32_t seq) {
+  Pending& p = outstanding_[seq & (outstanding_.size() - 1)];
+  return p.live && p.seq == seq ? &p : nullptr;
+}
+
+Client::Pending Client::TakeOutstanding(Pending* p) {
+  Pending taken = std::move(*p);
+  *p = Pending{};
+  --live_;
+  return taken;
+}
+
+void Client::GrowOutstanding(uint32_t seq) {
+  // Live sequence numbers all lie in (seq - span, seq]; a ring larger than
+  // that span gives each its own slot.
+  uint32_t span = 0;
+  for (const Pending& p : outstanding_) {
+    if (p.live) {
+      span = std::max(span, seq - p.seq);
+    }
+  }
+  size_t size = outstanding_.size();
+  while (size <= span) {
+    size *= 2;
+  }
+  std::vector<Pending> grown(size);
+  for (Pending& p : outstanding_) {
+    if (p.live) {
+      grown[p.seq & (size - 1)] = std::move(p);
+    }
+  }
+  outstanding_ = std::move(grown);
+}
+
 void Client::RegisterMetrics(MetricsRegistry& registry, const std::string& prefix,
                              MetricsRegistry::Labels labels) const {
   const ClientStats& s = stats_;
@@ -94,7 +131,7 @@ void Client::RegisterMetrics(MetricsRegistry& registry, const std::string& prefi
   registry.AddCounter(prefix + ".not_found", &s.not_found, labels);
   registry.AddCounter(prefix + ".timeouts", &s.timeouts, labels);
   registry.AddGauge(
-      prefix + ".outstanding", [this] { return static_cast<double>(outstanding_.size()); },
+      prefix + ".outstanding", [this] { return static_cast<double>(live_); },
       labels);
   registry.AddHistogram(prefix + ".latency", &latency_, labels);
 }

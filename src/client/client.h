@@ -15,7 +15,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/lp_ownership.h"
@@ -75,7 +75,7 @@ class Client : public Node {
   // Latency of completed queries, in nanoseconds of simulated time.
   const Histogram& latency() const { return latency_; }
   Histogram& latency() { return latency_; }
-  size_t Outstanding() const { return outstanding_.size(); }
+  size_t Outstanding() const { return live_; }
 
   // Registers every ClientStats field, the outstanding-query gauge, and the
   // latency histogram under `prefix` (e.g. "client.0.latency").
@@ -85,12 +85,22 @@ class Client : public Node {
   const ClientConfig& config() const { return config_; }
 
  private:
+  static constexpr size_t kInitialOutstandingSlots = 64;  // a power of two
+
   struct Pending {
     ResponseCallback cb;
     SimTime sent_at = 0;
+    uint32_t seq = 0;
+    bool live = false;
   };
 
   void SendQuery(Packet pkt, ResponseCallback cb);
+  // The live query with sequence number `seq`, or nullptr.
+  Pending* FindOutstanding(uint32_t seq);
+  // Takes the live query `p` out of the ring.
+  Pending TakeOutstanding(Pending* p);
+  // Regrows the ring so every live query and `seq` get slots of their own.
+  void GrowOutstanding(uint32_t seq);
 
   // LP ownership: everything mutable is driven from this client's own events
   // (queries, replies, timeouts), all scheduled node-affine: reply timeouts
@@ -102,7 +112,12 @@ class Client : public Node {
   // construction, immutable after.
   NC_LP_SHARED Simulator::Lane* timeout_lane_ = nullptr;
   NC_LP_OWNED uint32_t next_seq_ = 1;
-  NC_LP_OWNED std::unordered_map<uint32_t, Pending> outstanding_;
+  // Outstanding queries in a ring indexed by seq & (size - 1). Sequence
+  // numbers are issued in order and every query resolves within
+  // reply_timeout, so the ring only grows to the span of live sequence
+  // numbers and then recycles its slots: no allocation per query.
+  NC_LP_OWNED std::vector<Pending> outstanding_;
+  NC_LP_OWNED size_t live_ = 0;
   NC_LP_OWNED ClientStats stats_;
   NC_LP_OWNED Histogram latency_;
 };

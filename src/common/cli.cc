@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace netcache {
@@ -29,19 +30,28 @@ std::string ArgParser::GetString(const std::string& name, const std::string& def
   return it == flags_.end() ? def : it->second;
 }
 
-int64_t ArgParser::GetInt(const std::string& name, int64_t def) {
+int64_t ArgParser::GetInt(const std::string& name, int64_t def, int64_t min) {
   auto it = flags_.find(name);
   if (it == flags_.end()) {
     return def;
   }
   char* end = nullptr;
+  errno = 0;
   int64_t v = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     errors_.push_back("--" + name + " expects an integer, got '" + it->second + "'");
     return def;
   }
-  if (v < 0) {
-    errors_.push_back("--" + name + " must not be negative, got '" + it->second + "'");
+  if (errno == ERANGE) {
+    // strtoll saturated: the value is beyond every int64_t.
+    errors_.push_back("--" + name + " is out of range, got '" + it->second + "'");
+    return def;
+  }
+  if (v < min) {
+    errors_.push_back("--" + name +
+                      (min == 0 ? std::string(" must not be negative")
+                                : " must be at least " + std::to_string(min)) +
+                      ", got '" + it->second + "'");
     return def;
   }
   return v;

@@ -2,9 +2,10 @@
 //
 // Accepts `--name=value`, `--name value`, and bare `--name` (boolean true);
 // everything else is positional. Typed getters record an error instead of
-// aborting so tools can print usage. GetInt rejects negative values: every
-// integer flag is a count, a size, a duration or a seed, and callers cast the
-// result to an unsigned type.
+// aborting so tools can print usage. GetInt rejects values outside int64_t
+// and values below `min`, 0 unless given: every integer flag is a count, a
+// size, a duration or a seed, and callers cast the result to an unsigned
+// type. A count the program cannot run with at 0 asks for min 1.
 
 #ifndef NETCACHE_COMMON_CLI_H_
 #define NETCACHE_COMMON_CLI_H_
@@ -23,7 +24,7 @@ class ArgParser {
   bool Has(const std::string& name) const { return flags_.count(name) != 0; }
 
   std::string GetString(const std::string& name, const std::string& def) const;
-  int64_t GetInt(const std::string& name, int64_t def);
+  int64_t GetInt(const std::string& name, int64_t def, int64_t min = 0);
   double GetDouble(const std::string& name, double def);
   bool GetBool(const std::string& name, bool def) const;
 

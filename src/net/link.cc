@@ -44,6 +44,8 @@ void Link::Transmit(int from_end, const Packet& pkt) {
     ++dir.stats.lost;
     return;
   }
+  SimTime now = sim_->Now();
+  RetireSent(dir, now);
   if (dir.queued_bytes + bytes > config_.queue_bytes) {
     ++dir.stats.dropped;
     return;
@@ -51,7 +53,7 @@ void Link::Transmit(int from_end, const Packet& pkt) {
   dir.queued_bytes += bytes;
   dir.stats.in_flight.fetch_add(1, std::memory_order_relaxed);
 
-  uint64_t now_ps = static_cast<uint64_t>(sim_->Now()) * 1000;
+  uint64_t now_ps = static_cast<uint64_t>(now) * 1000;
   uint64_t start_ps = std::max(now_ps, dir.busy_until_ps);
   uint64_t tx_done_ps = start_ps + static_cast<uint64_t>(bytes) * ps_per_byte_;
   dir.busy_until_ps = tx_done_ps;
@@ -59,44 +61,56 @@ void Link::Transmit(int from_end, const Packet& pkt) {
   // tx_done >= Now(), so the schedule-into-the-past check can never fire no
   // matter how long the back-to-back chain gets.
   SimTime tx_done = static_cast<SimTime>((tx_done_ps + 999) / 1000);
+  PushQueued(dir, Queued{tx_done, static_cast<uint32_t>(bytes)});
 
   // The in-flight copy lives in the simulator's packet pool. Every
   // transmission accepted within one instant joins the direction's open
   // transmit group; the whole group is delivered together at the LAST
   // member's serialization end plus propagation (the far NIC raises one
-  // interrupt for the back-to-back train). Delivery accounting happens in
-  // Link::AccountDelivery.
+  // interrupt for the back-to-back train). The first transmission of an
+  // instant opens the group with the executing context, which closes it
+  // (CloseGroup) when its clock leaves this instant. Delivery accounting
+  // happens in Link::AccountDelivery.
   Packet* in_flight = sim_->packet_pool().Acquire(pkt);
-  SimTime now = sim_->Now();
-  if (dir.group != nullptr && dir.group->open_time == now) {
-    // Join the open group. The deadline chain is monotone, so this member's
-    // tx_done is the group's new serialization end. Queue-free stays a plain
-    // node-affine closure (the first member's closure flushes the group).
-    dir.group->entries.emplace_back(in_flight, static_cast<uint32_t>(bytes));
-    dir.group->last_tx_done = tx_done;
-    sim_->ScheduleAtFor(ends_[from_end].node, tx_done,
-                        [this, from_end, bytes] { dirs_[from_end].queued_bytes -= bytes; });
-    return;
+  if (dir.group == nullptr) {
+    dir.group = sim_->OpenEgressGroup(this, from_end);
   }
-  EgressBurst* g = sim_->AcquireEgressBurst();
-  g->open_time = now;
-  g->last_tx_done = tx_done;
-  g->entries.emplace_back(in_flight, static_cast<uint32_t>(bytes));
-  dir.group = g;
-  // The first member's queue-free closure also closes and flushes the group.
-  // Its tx_done lands strictly after the open instant on the ns grid
-  // (bytes >= 1, ps_per_byte >= 1), so every same-instant transmit has
-  // already joined by the time it runs; the guard handles a group already
-  // displaced by a later instant's opener. Node-affine so the transmitter
-  // state stays in the sending node's partition under parallel DES.
-  sim_->ScheduleAtFor(ends_[from_end].node, tx_done, [this, from_end, bytes, g] {
-    Direction& d = dirs_[from_end];
-    d.queued_bytes -= bytes;
-    if (d.group == g) {
-      d.group = nullptr;
-    }
-    FlushGroup(g, from_end);
-  });
+  // The deadline chain is monotone, so this member's tx_done is the group's
+  // new serialization end.
+  dir.group->entries.emplace_back(in_flight, static_cast<uint32_t>(bytes));
+  dir.group->last_tx_done = tx_done;
+}
+
+void Link::CloseGroup(int from_end) {
+  NC_LP_CHECK("Link::CloseGroup", ends_[from_end].node->name().c_str(),
+              ends_[from_end].node->lp());
+  Direction& dir = dirs_[from_end];
+  EgressBurst* g = dir.group;
+  dir.group = nullptr;
+  FlushGroup(g, from_end);
+}
+
+void Link::RetireSent(Direction& dir, SimTime now) {
+  const size_t mask = dir.queue.size() - 1;
+  while (dir.queue_len > 0 && dir.queue[dir.queue_head].tx_done <= now) {
+    dir.queued_bytes -= dir.queue[dir.queue_head].bytes;
+    dir.queue_head = (dir.queue_head + 1) & mask;
+    --dir.queue_len;
+  }
+}
+
+void Link::PushQueued(Direction& dir, Queued q) {
+  const size_t size = dir.queue.size();
+  if (dir.queue_len == size) {
+    // Full (or empty storage): double it. The ring runs from queue_head to
+    // the old end, then wraps to just before queue_head; copying that
+    // wrapped prefix past the old end makes the run contiguous again.
+    dir.queue.resize(size == 0 ? 16 : 2 * size);
+    std::copy(dir.queue.begin(), dir.queue.begin() + static_cast<std::ptrdiff_t>(dir.queue_head),
+              dir.queue.begin() + static_cast<std::ptrdiff_t>(size));
+  }
+  dir.queue[(dir.queue_head + dir.queue_len) & (dir.queue.size() - 1)] = q;
+  ++dir.queue_len;
 }
 
 void Link::FlushGroup(EgressBurst* g, int from_end) {

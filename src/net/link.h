@@ -4,7 +4,10 @@
 // Model: each direction owns a transmitter that serializes one packet at a
 // time at `bandwidth_gbps`. Packets arriving while the transmitter is busy
 // wait in a FIFO bounded by `queue_bytes`; overflow is dropped (drop-tail),
-// which is how the paper's emulated servers shed excess load (§7.1).
+// which is how the paper's emulated servers shed excess load (§7.1). A
+// packet holds its queue space until its serialization ends; the link
+// schedules no event for that: each Transmit first frees the space of every
+// packet whose serialization ended at or before Now().
 //
 // Transmit deadlines accumulate in integer picoseconds, not floating point:
 // a busy transmitter chains each packet's deadline off the previous one, and
@@ -19,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "common/lp_ownership.h"
 #include "common/rng.h"
@@ -49,6 +53,12 @@ class Link {
 
   // Transmits from end `from_end` (0 or 1) toward the other end.
   void Transmit(int from_end, const Packet& pkt);
+
+  // Ships direction `from_end`'s open transmit group as one delivery (see
+  // Simulator::OpenEgressGroup). Called by the simulator's dispatcher, in
+  // the context that opened the group, once its clock leaves the group's
+  // instant.
+  void CloseGroup(int from_end);
 
   // Books `count` completed deliveries totalling `bytes` on direction
   // `from_end`. Called by the simulator's delivery dispatcher (the accounting
@@ -100,22 +110,40 @@ class Link {
     Node* node = nullptr;
     uint32_t port = 0;
   };
+  // An accepted packet holding queue space: its serialization end and wire
+  // bytes.
+  struct Queued {
+    SimTime tx_done;
+    uint32_t bytes;
+  };
   struct Direction {
     uint64_t busy_until_ps = 0;  // transmitter deadline, integer picoseconds
+    // Bytes of the packets in `queue`.
     size_t queued_bytes = 0;
-    // The transmit group currently accepting members: every transmission
-    // accepted at the group's open instant joins it; the first member's
-    // queue-free closure (strictly after the open instant on the ns grid)
-    // closes and flushes it. Owned by the sending end's LP like the rest of
-    // the transmitter state.
+    // The accepted packets whose serialization had not ended at the last
+    // Transmit, oldest first (the deadline chain is monotone, so that is
+    // tx_done order): a ring over a power-of-two vector that doubles when
+    // full, so steady state allocates nothing.
+    std::vector<Queued> queue;
+    size_t queue_head = 0;
+    size_t queue_len = 0;
+    // The transmit group accepting members: opened by the first
+    // transmission accepted at an instant, joined by every later one at the
+    // same instant, closed by CloseGroup. Owned by the sending end's LP like
+    // the rest of the transmitter state.
     EgressBurst* group = nullptr;
     DirectionStats stats;
   };
 
+  // Drops the packets whose serialization ended at or before `now` from
+  // dir's queue, freeing their bytes.
+  static void RetireSent(Direction& dir, SimTime now);
+  static void PushQueued(Direction& dir, Queued q);
+
   // Ships a closed transmit group as one delivery record (a plain record for
   // a lone packet, a burst record otherwise) at the group's shared delivery
   // instant: last member's serialization end + propagation. Runs in the
-  // sending end's partition (from the first member's queue-free closure).
+  // sending end's partition.
   void FlushGroup(EgressBurst* g, int from_end);
 
   NC_LP_SHARED Simulator* sim_;

@@ -30,6 +30,7 @@ Simulator::Simulator() {
   legacy_->sim = this;
   legacy_->index = 0;
   legacy_->heap.reserve(kDefaultReserveEvents);
+  legacy_->free_slots.reserve(kDefaultReserveEvents);
   // Per-LP counters answer for the global stream too (always 0).
   summaries_.resize(1);
   windows_merged_.resize(1);
@@ -43,7 +44,7 @@ void Simulator::ScheduleAt(SimTime at, EventFn fn) {
                          << " ns but Now() is t=" << c->now
                          << " ns; events must never be scheduled before the "
                             "current simulated time (causality / determinism)";
-  Route(*c, *c, Event{at, NextKey(*c), std::move(fn)});
+  Route(*c, *c, at, NextKey(*c), std::move(fn));
 }
 
 void Simulator::ScheduleAtFor(Node* node, SimTime at, EventFn fn) {
@@ -57,14 +58,14 @@ void Simulator::ScheduleAtFor(Node* node, SimTime at, EventFn fn) {
         << num_lps() << " logical processes are configured";
     dest = &ctxs_[node->lp()];
   }
-  Route(*c, *dest, Event{at, NextKey(*c), std::move(fn)});
+  Route(*c, *dest, at, NextKey(*c), std::move(fn));
 }
 
 void Simulator::ScheduleGlobalAt(SimTime at, EventFn fn) {
   Ctx* c = cur();
   NC_CHECK(at >= c->now) << "scheduling into the past: event at t=" << at
                          << " ns but Now() is t=" << c->now << " ns";
-  Route(*c, ctxs_[0], Event{at, NextKey(*c), std::move(fn)});
+  Route(*c, ctxs_[0], at, NextKey(*c), std::move(fn));
 }
 
 void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
@@ -78,7 +79,7 @@ void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
         << " but only " << num_lps() << " logical processes are configured";
     dest = &ctxs_[rec.node->lp()];
   }
-  Route(*c, *dest, Event{at, NextKey(*c), rec});
+  Route(*c, *dest, at, NextKey(*c), rec);
 }
 
 Simulator::Lane* Simulator::OpenLane(Node* node, SimDuration delay) {
@@ -96,39 +97,44 @@ Simulator::Lane* Simulator::OpenLane(Node* node, SimDuration delay) {
 void Simulator::ScheduleInLane(Lane* lane, EventFn fn) {
   Ctx* c = cur();
   Ctx& to = *lane->ctx;
-  Event ev{c->now + lane->delay, NextKey(*c), std::move(fn)};
-  std::deque<Event>& q = lane->events;
+  Handle h{c->now + lane->delay, NextKey(*c), nullptr};
+  std::deque<Handle>& q = lane->events;
   // The ScheduleAtFor path, taken when the lane cannot hold the event: it
   // would sort before the tail (a same-instant append stamped from a lower
   // stream), or another LP's worker owns the lane during this round.
-  if ((in_window_ && c != &to) || (!q.empty() && ev.Before(q.back()))) {
-    Route(*c, to, std::move(ev));
+  if ((in_window_ && c != &to) || (!q.empty() && h.Before(q.back()))) {
+    Route(*c, to, h.time, h.key, std::move(fn));
     return;
   }
-  q.push_back(std::move(ev));
+  h.ev = NewSlot(to);
+  h.ev->Set(std::move(fn));
+  q.push_back(h);
   ++to.lane_events;
 }
 
-void Simulator::Route(Ctx& from, Ctx& to, Event ev) {
-  // Inside a round each heap belongs to its own worker, so a cross-partition
-  // event is staged into the producer's per-destination outbox bucket (this
-  // round's parity side) and drained by the destination — or, for the global
-  // stream, by the coordinator at the boundary. Merge order cannot matter:
-  // keys are a total order, and a binary heap's pop sequence depends only on
-  // its content set — which is also why --sim-threads=1 and =N produce
-  // byte-identical schedules.
+template <typename Payload>
+void Simulator::Route(Ctx& from, Ctx& to, SimTime at, uint64_t key, Payload&& payload) {
+  // Inside a round each context belongs to its own worker, so a cross-
+  // partition event is staged into the producer's per-destination outbox
+  // bucket (this round's parity side) and drained by the destination — or,
+  // for the global stream, by the coordinator at the boundary. Merge order
+  // cannot matter: keys are a total order, and a binary heap's pop sequence
+  // depends only on its content set — which is also why --sim-threads=1 and
+  // =N produce byte-identical schedules.
   if (!in_window_ || &from == &to) {
-    PushHeap(to, std::move(ev));
+    Event* slot = NewSlot(to);
+    slot->Set(std::forward<Payload>(payload));
+    PushHeap(to, Handle{at, key, slot});
     return;
   }
   OutBucket& bucket = Bucket(parity_, from.index, to.index);
-  if (bucket.ev.empty()) {
+  if (bucket.mail.empty()) {
     summaries_[from.index].mail.push_back(MailNote{to.index, 0});
-    bucket.min_time = ev.time;
-  } else if (ev.time < bucket.min_time) {
-    bucket.min_time = ev.time;
+    bucket.min_time = at;
+  } else if (at < bucket.min_time) {
+    bucket.min_time = at;
   }
-  bucket.ev.push_back(std::move(ev));
+  bucket.mail.push_back(Mail{at, key, Event(std::forward<Payload>(payload))});
 }
 
 bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
@@ -166,20 +172,21 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
     c.sim = this;
     c.index = static_cast<uint32_t>(i);
     c.heap.reserve(kDefaultReserveEvents / 4);
+    c.free_slots.reserve(kDefaultReserveEvents / 4);
     // Label the pool shard for the runtime ownership sanitizer: only the
     // thread executing LP i may acquire from / release into shard i.
     c.pool.set_owner_lp(c.index);
   }
   legacy_ = &ctxs_[0];
   // Every lane moves to its node's LP. Events it already holds were
-  // scheduled in serial mode, i.e. into the global stream, so they stay
-  // there.
+  // scheduled in serial mode, i.e. into the global stream (their slots are
+  // in its slab), so they stay there.
   legacy_->lanes.clear();
   for (Lane& lane : lanes_) {
     NC_CHECK(lane.node->lp() <= num_lps)
         << lane.node->name() << " labeled with partition beyond num_lps";
-    for (Event& ev : lane.events) {
-      PushHeap(*legacy_, std::move(ev));
+    for (const Handle& h : lane.events) {
+      PushHeap(*legacy_, h);
     }
     legacy_->lane_events -= lane.events.size();
     lane.events.clear();
@@ -246,12 +253,26 @@ void Simulator::SetGlobalLookahead(SimDuration g) {
   global_lookahead_ = g;
 }
 
-void Simulator::DispatchIn(Ctx& c, Event& ev, bool coalesce) {
-  if (ev.is_delivery) {
-    RunDelivery(c, ev.del, coalesce);
+void Simulator::DispatchIn(Ctx& c, Event* ev, bool coalesce) {
+  // The slab never moves a slot, so the handler may schedule freely while
+  // its own event runs in place.
+  if (ev->is_delivery) {
+    RunDelivery(c, ev->del, coalesce);
   } else {
-    ev.fn();
+    ev->fn();
   }
+  FreeSlot(c, ev);
+}
+
+bool Simulator::CloseGroups(Ctx& c) {
+  if (c.open_groups.empty()) {
+    return false;
+  }
+  for (const OpenGroup& g : c.open_groups) {
+    g.link->CloseGroup(g.from_end);
+  }
+  c.open_groups.clear();
+  return true;
 }
 
 void Simulator::RunUntil(SimTime until) {
@@ -260,15 +281,25 @@ void Simulator::RunUntil(SimTime until) {
     return;
   }
   Ctx& c = *legacy_;
-  for (const Event* next = Peek(c); next != nullptr && next->time <= until; next = Peek(c)) {
-    if (next->time != c.now) {
+  for (;;) {
+    const Handle* next = Peek(c);
+    const bool runs = next != nullptr && next->time <= until;
+    if (!runs || next->time != c.now) {
+      // The clock leaves c.now, or the run stops there: the transmit groups
+      // opened at c.now are complete. Their deliveries may land before
+      // `next`, even at or below `until`, so peek again.
+      if (CloseGroups(c)) {
+        continue;
+      }
+      if (!runs) {
+        break;
+      }
       SamplePeak(c);
     }
-    // Move the event out before running so the handler may schedule freely.
-    Event ev = Take(c);
-    c.now = ev.time;
+    Handle h = Take(c);
+    c.now = h.time;
     ++c.events;
-    DispatchIn(c, ev, /*coalesce=*/true);
+    DispatchIn(c, h.ev, /*coalesce=*/true);
   }
   // An unbounded run leaves the clock at the last dispatched instant.
   if (until != kNeverTime && c.now < until) {
@@ -279,8 +310,14 @@ void Simulator::RunUntil(SimTime until) {
 void Simulator::RunAll() { RunUntil(kNeverTime); }
 
 void Simulator::RunWindowed(SimTime until) {
-  // Top-level code may have scheduled into any LP since the last run.
+  // Top-level code may have scheduled into any LP since the last run, and
+  // any transmit it made opened its group in the global context. That
+  // group is complete unless a global event is due at the same instant: a
+  // serial instant then runs first and closes it at its end.
   lp_next_stale_ = true;
+  if (!legacy_->open_groups.empty() && NextTime(*legacy_) != legacy_->now) {
+    CloseGroups(*legacy_);
+  }
   // This thread's profiler spans are chained (Profiler::RecordSince): each
   // starts where the previous one ended, so window setup, summary
   // publication and span recording are booked to a bucket, not lost
@@ -399,15 +436,15 @@ void Simulator::DeliverGlobalMail(uint32_t src) {
   for (const Ctx& c : ctxs_) {
     max_now = std::max(max_now, c.now);
   }
-  std::vector<Event>& mail = Bucket(parity_, src, 0).ev;
-  for (Event& ev : mail) {
-    NC_CHECK(ev.time >= max_now)
-        << "ScheduleGlobal from an LP lands at t=" << ev.time
+  std::vector<Mail>& mail = Bucket(parity_, src, 0).mail;
+  for (Mail& m : mail) {
+    NC_CHECK(m.time >= max_now)
+        << "ScheduleGlobal from an LP lands at t=" << m.time
         << " ns but an LP already executed t=" << max_now
         << " ns; LP-context global schedules must carry at least the "
            "global lookahead (SetGlobalLookahead / control-plane "
            "latency), or run with --sim-threads=0";
-    PushHeap(ctxs_[0], std::move(ev));
+    PushMail(ctxs_[0], m);
   }
   mail.clear();
 }
@@ -487,19 +524,19 @@ void Simulator::DrainAllMail() {
   // follow, so the cached next times are re-read at the next boundary.
   NC_LP_CHECK_COORDINATOR("Simulator::DrainAllMail");
   for (size_t b = 0; b < outbox_.size(); ++b) {
-    std::vector<Event>& mail = outbox_[b].ev;
+    std::vector<Mail>& mail = outbox_[b].mail;
     if (mail.empty()) {
       continue;
     }
     Ctx& to = ctxs_[b % stride_];
-    for (Event& ev : mail) {
-      NC_CHECK(ev.time >= to.now)
-          << "cross-partition event lands at t=" << ev.time
+    for (Mail& m : mail) {
+      NC_CHECK(m.time >= to.now)
+          << "cross-partition event lands at t=" << m.time
           << " ns, before its destination LP already reached t=" << to.now
           << " ns; cross-partition schedules must carry at least the "
              "link-path propagation distance (run with --sim-threads=0 "
              "if the workload cannot)";
-      PushHeap(to, std::move(ev));
+      PushMail(to, m);
     }
     mail.clear();
   }
@@ -517,11 +554,12 @@ void Simulator::RunSerialInstant(SimTime t) {
   // is active); the rescan picks them up in canonical order.
   ProfScope prof(ProfCat::kSerialFence);
   uint64_t executed = 0;
+  Ctx* prev = tls_ctx_;
   for (;;) {
     Ctx* best = nullptr;
     uint64_t best_key = 0;
     for (Ctx& c : ctxs_) {
-      const Event* next = Peek(c);
+      const Handle* next = Peek(c);
       if (next == nullptr || next->time != t) {
         continue;
       }
@@ -536,17 +574,23 @@ void Simulator::RunSerialInstant(SimTime t) {
     if (best->now != t) {
       SamplePeak(*best);
     }
-    Event ev = Take(*best);
+    Handle h = Take(*best);
     best->now = t;
     ++best->events;
     ++executed;
     // Install the event's home context so nested schedules stamp the right
     // stream (an LP's event re-arming itself stays in that LP).
-    Ctx* prev = tls_ctx_;
     tls_ctx_ = best;
-    DispatchIn(*best, ev, /*coalesce=*/false);
+    DispatchIn(*best, h.ev, /*coalesce=*/false);
     tls_ctx_ = prev;
   }
+  // Every event at t has run, so every group opened at t is complete. Each
+  // context stamps its own groups' deliveries, which land after t.
+  for (Ctx& c : ctxs_) {
+    tls_ctx_ = &c;
+    CloseGroups(c);
+  }
+  tls_ctx_ = prev;
   prof.set_arg(executed);
 }
 
@@ -612,7 +656,7 @@ void Simulator::RunLpWindow(Ctx& lp, uint64_t& tick) {
   // Window setup and the inbox drain are booked as merge.
   slot.mail.clear();  // the boundary folded last window's notes
   const uint64_t merged = DrainInbox(lp);
-  const Event* next = Peek(lp);
+  const Handle* next = Peek(lp);
   tick = Profiler::RecordSince(ProfCat::kMerge, lp.index, tick, merged);
   if (next == nullptr || next->time >= wend) {
     // Participated (mail forced the turn) but nothing executable below the
@@ -626,16 +670,27 @@ void Simulator::RunLpWindow(Ctx& lp, uint64_t& tick) {
     return;
   }
   const uint64_t before = lp.events;
-  do {
-    if (next->time != lp.now) {
+  for (;;) {
+    const bool runs = next != nullptr && next->time < wend;
+    if (!runs || next->time != lp.now) {
+      // As in RunUntil: the groups opened at lp.now close before the clock
+      // moves or the window ends, and a delivery they ship to this LP may
+      // land below the horizon, so it still runs in this window.
+      if (CloseGroups(lp)) {
+        next = Peek(lp);
+        continue;
+      }
+      if (!runs) {
+        break;
+      }
       SamplePeak(lp);
     }
-    Event ev = Take(lp);
-    lp.now = ev.time;
+    Handle h = Take(lp);
+    lp.now = h.time;
     ++lp.events;
-    DispatchIn(lp, ev, /*coalesce=*/true);
+    DispatchIn(lp, h.ev, /*coalesce=*/true);
     next = Peek(lp);
-  } while (next != nullptr && next->time < wend);
+  }
   // The summary the boundary folds, booked as execute: next pending time
   // and each written bucket's earliest event, read from this LP's own
   // outbox row.
@@ -658,16 +713,16 @@ uint64_t Simulator::DrainInbox(Ctx& lp) {
   uint64_t merged = 0;
   const uint32_t side = parity_ ^ 1;
   for (uint32_t src : senders_[lp.index]) {
-    std::vector<Event>& mail = Bucket(side, src, lp.index).ev;
-    for (Event& ev : mail) {
-      NC_CHECK(ev.time >= lp.now)
-          << "cross-partition event lands at t=" << ev.time
+    std::vector<Mail>& mail = Bucket(side, src, lp.index).mail;
+    for (Mail& m : mail) {
+      NC_CHECK(m.time >= lp.now)
+          << "cross-partition event lands at t=" << m.time
           << " ns, before its destination LP already reached t=" << lp.now
           << " ns; cross-partition schedules must carry at least the "
              "link-path propagation distance (run with --sim-threads=0 if "
              "the workload cannot)";
       ++merged;
-      PushHeap(lp, std::move(ev));
+      PushMail(lp, m);
     }
     mail.clear();
   }
@@ -773,13 +828,15 @@ void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
     // (see the header comment). In parallel mode a node's deliveries all land
     // in its own LP heap, so LP-local adjacency is global adjacency. A lane
     // event is a closure, so one that sorts next ends the batch too.
-    for (const Event* front = Peek(c); front != nullptr; front = Peek(c)) {
-      if (!front->is_delivery || front->time != c.now || front->del.node != first.node) {
+    for (const Handle* front = Peek(c); front != nullptr; front = Peek(c)) {
+      const Event& ev = *front->ev;
+      if (!ev.is_delivery || front->time != c.now || ev.del.node != first.node) {
         break;
       }
-      Event next = Take(c);
-      c.events += RecWeight(next.del);  // each coalesced delivery still counts
-      c.batch.push_back(next.del);
+      Handle h = Take(c);
+      c.events += RecWeight(h.ev->del);  // each coalesced delivery still counts
+      c.batch.push_back(h.ev->del);
+      FreeSlot(c, h.ev);
     }
   }
   // The destination node's handler (and its delivery accounting below) must
@@ -838,8 +895,8 @@ size_t Simulator::PendingEvents() const {
   // Outbox mail is rare enough to weigh per event (burst records count as
   // their group size, matching the heap accounting above).
   for (const OutBucket& bucket : outbox_) {
-    for (const Event& ev : bucket.ev) {
-      n += ev.is_delivery ? RecWeight(ev.del) : 1;
+    for (const Mail& m : bucket.mail) {
+      n += m.ev.is_delivery ? RecWeight(m.ev.del) : 1;
     }
   }
   return n;
@@ -895,36 +952,39 @@ uint64_t Simulator::event_queue_peak() const {
   return peak;
 }
 
-void Simulator::PushHeap(Ctx& c, Event ev) {
-  if (ev.is_delivery && ev.del.burst != nullptr) {
-    c.heap_extra += ev.del.burst->entries.size() - 1;
-  }
-  std::vector<Event>& q = c.heap;
-  // Hole-style sift-up: one move per level instead of the three a swap costs.
-  // Most new events land at a leaf (later timestamps), so test once before
-  // paying for the temporary.
-  q.push_back(std::move(ev));
-  size_t hole = q.size() - 1;
-  if (hole == 0 || !q[hole].Before(q[(hole - 1) / 2])) {
-    return;
-  }
-  Event tmp = std::move(q[hole]);
-  do {
-    size_t parent = (hole - 1) / 2;
-    q[hole] = std::move(q[parent]);
-    hole = parent;
-  } while (hole > 0 && tmp.Before(q[(hole - 1) / 2]));
-  q[hole] = std::move(tmp);
+void Simulator::PushMail(Ctx& to, Mail& m) {
+  Event* slot = NewSlot(to);
+  *slot = std::move(m.ev);
+  PushHeap(to, Handle{m.time, m.key, slot});
 }
 
-const Simulator::Event* Simulator::Peek(Ctx& c) {
-  const Event* best = c.heap.empty() ? nullptr : &c.heap.front();
+void Simulator::PushHeap(Ctx& c, Handle h) {
+  if (h.ev->is_delivery && h.ev->del.burst != nullptr) {
+    c.heap_extra += h.ev->del.burst->entries.size() - 1;
+  }
+  std::vector<Handle>& q = c.heap;
+  // Hole-style sift-up: one move per level instead of the three a swap costs.
+  q.push_back(h);
+  size_t hole = q.size() - 1;
+  while (hole > 0) {
+    size_t parent = (hole - 1) / 2;
+    if (!h.Before(q[parent])) {
+      break;
+    }
+    q[hole] = q[parent];
+    hole = parent;
+  }
+  q[hole] = h;
+}
+
+const Simulator::Handle* Simulator::Peek(Ctx& c) {
+  const Handle* best = c.heap.empty() ? nullptr : &c.heap.front();
   c.peeked_lane = nullptr;
   for (Lane* lane : c.lanes) {
     if (lane->events.empty()) {
       continue;
     }
-    const Event& front = lane->events.front();
+    const Handle& front = lane->events.front();
     if (best == nullptr || front.Before(*best)) {
       best = &front;
       c.peeked_lane = lane;
@@ -933,43 +993,42 @@ const Simulator::Event* Simulator::Peek(Ctx& c) {
   return best;
 }
 
-Simulator::Event Simulator::Take(Ctx& c) {
+Simulator::Handle Simulator::Take(Ctx& c) {
   Lane* lane = c.peeked_lane;
   if (lane == nullptr) {
     return PopHeap(c);
   }
-  Event ev = std::move(lane->events.front());
+  Handle h = lane->events.front();
   lane->events.pop_front();
   --c.lane_events;
-  return ev;
+  return h;
 }
 
-Simulator::Event Simulator::PopHeap(Ctx& c) {
-  std::vector<Event>& q = c.heap;
-  Event top = std::move(q.front());
-  if (top.is_delivery && top.del.burst != nullptr) {
-    c.heap_extra -= top.del.burst->entries.size() - 1;
-  }
-  size_t n = q.size() - 1;
-  if (n == 0) {
-    q.pop_back();
-    return top;
+Simulator::Handle Simulator::PopHeap(Ctx& c) {
+  std::vector<Handle>& q = c.heap;
+  const Handle top = q.front();
+  if (top.ev->is_delivery && top.ev->del.burst != nullptr) {
+    c.heap_extra -= top.ev->del.burst->entries.size() - 1;
   }
   // Hole-style sift-down of the displaced last element.
-  Event tmp = std::move(q.back());
+  const Handle last = q.back();
   q.pop_back();
+  const size_t n = q.size();
+  if (n == 0) {
+    return top;
+  }
   size_t hole = 0;
   size_t left = 1;
   while (left < n) {
     size_t smallest = (left + 1 < n && q[left + 1].Before(q[left])) ? left + 1 : left;
-    if (!q[smallest].Before(tmp)) {
+    if (!q[smallest].Before(last)) {
       break;
     }
-    q[hole] = std::move(q[smallest]);
+    q[hole] = q[smallest];
     hole = smallest;
     left = 2 * hole + 1;
   }
-  q[hole] = std::move(tmp);
+  q[hole] = last;
   return top;
 }
 

@@ -9,19 +9,23 @@
 // Hot-path design (the per-event cost bounds every packet-level experiment):
 //   - events hold an InlineFunction, so closures up to kInlineFunctionBytes
 //     capture bytes never touch the heap (std::function allocated per event);
-//   - each context's general queue is an explicit binary heap over a vector
-//     reserved up front, so a steady-state run performs zero heap
-//     allocations and pops move events out instead of copying them
-//     (std::priority_queue::top forces a copy);
+//   - an event is built once, in a slot of its context's slab (pointer-
+//     stable, recycled through a free list, so a steady-state run allocates
+//     nothing), and runs where it sits. The queues order 24-byte handles
+//     {time, key, slot}: each context's general queue is an explicit binary
+//     heap of handles, so a sift level moves a handle, never an event;
 //   - a producer that keeps thousands of events pending at one constant
 //     delay (a client's reply timeouts) schedules them into a lane instead
-//     (OpenLane / ScheduleInLane): a FIFO that is in (time, key) order by
-//     construction, so an append or a pop moves one event and never sifts.
-//     Lane storage is a std::deque, whose blocks come from the allocator;
+//     (OpenLane / ScheduleInLane): a FIFO of handles that is in (time, key)
+//     order by construction, so an append or a pop never sifts. Lane
+//     storage is a std::deque, whose blocks come from the allocator;
 //   - every dispatcher reads the next event through one Peek/Take pair that
 //     merges the heap front with the context's lane fronts in (time, key)
 //     order, so the pop sequence is exactly that of a single heap holding
 //     every pending event;
+//   - a link keeps no event per transmitted packet: its transmit groups
+//     register with the executing context, which closes them when its clock
+//     leaves the instant that opened them (see OpenEgressGroup);
 //   - a per-partition PacketPool recycles the Packet buffers that in-flight
 //     closures reference (see net/packet_pool.h);
 //   - packet deliveries are typed events (DeliveryRec in a union with the
@@ -147,7 +151,6 @@ class Link;
 // Buffers are pooled per simulator context and migrate between contexts the
 // way PacketPool payloads do.
 struct EgressBurst {
-  SimTime open_time = 0;     // the instant whose accepted transmits joined
   SimTime last_tx_done = 0;  // latest member's serialization end (ns grid)
   std::vector<std::pair<Packet*, uint32_t>> entries;  // (payload, wire bytes)
 };
@@ -274,13 +277,21 @@ class Simulator {
   size_t sim_threads() const { return threads_; }
   SimDuration lookahead() const { return lookahead_; }
 
-  // Transmit-group buffer pool, sharded like packet_pool(): acquire in the
-  // sending LP, release wherever the group is consumed (buffers migrate).
-  EgressBurst* AcquireEgressBurst() {
+  // Opens a transmit group for `link`'s direction `from_end`: returns an
+  // empty group buffer and registers the group with the executing context.
+  // Every transmission that direction accepts before the context's clock
+  // leaves this instant joins the group; then the dispatcher closes it
+  // (Link::CloseGroup), which ships it as one delivery. A dispatch loop also
+  // closes its groups before it stops — at `until`, at a window's end, at
+  // the end of a serial instant — and runs on if a flushed delivery lands
+  // below its bound. Group buffers are pooled like packet_pool(): acquired
+  // in the sending LP, released wherever the group is consumed (buffers
+  // migrate).
+  EgressBurst* OpenEgressGroup(Link* link, int from_end) {
     Ctx* c = cur();
+    c->open_groups.push_back(OpenGroup{link, from_end});
     if (c->burst_free.empty()) {
-      c->burst_arena.emplace_back();
-      return &c->burst_arena.back();
+      return &c->burst_arena.emplace_back();
     }
     EgressBurst* g = c->burst_free.back();
     c->burst_free.pop_back();
@@ -339,59 +350,74 @@ class Simulator {
   static constexpr SimTime kNeverTime = ~SimTime{0};
   static constexpr size_t kBarrierArity = 4;
 
+  // An event's payload: a closure or a delivery record. A pending event sits
+  // in a slot of its context's slab and runs there; a free slot holds a
+  // (trivially destructible) record, so only a pending closure has anything
+  // to destroy — the slab's destructor frees what a run left pending.
   struct Event {
-    SimTime time;
-    uint64_t key;  // (stream << kStreamShift) | per-stream sequence
-    bool is_delivery;
+    bool is_delivery = true;
     union {
       EventFn fn;       // active when !is_delivery
       DeliveryRec del;  // active when is_delivery
     };
 
-    Event(SimTime t, uint64_t k, EventFn f) : time{t}, key(k), is_delivery(false) {
-      ::new (&fn) EventFn(std::move(f));
-    }
-    Event(SimTime t, uint64_t k, const DeliveryRec& d)
-        : time{t}, key(k), is_delivery(true), del(d) {}
-
-    Event(Event&& other) noexcept
-        : time{other.time}, key(other.key), is_delivery(other.is_delivery) {
-      if (is_delivery) {
-        ::new (&del) DeliveryRec(other.del);
-      } else {
-        ::new (&fn) EventFn(std::move(other.fn));
-      }
-    }
+    Event() : del() {}
+    explicit Event(EventFn&& f) : is_delivery(false), fn(std::move(f)) {}
+    explicit Event(const DeliveryRec& d) : del(d) {}
+    Event(Event&& other) noexcept : Event() { *this = std::move(other); }
     Event& operator=(Event&& other) noexcept {
       if (this != &other) {
-        DestroyPayload();
-        time = other.time;
-        key = other.key;
-        is_delivery = other.is_delivery;
-        if (is_delivery) {
-          ::new (&del) DeliveryRec(other.del);
+        Clear();
+        if (other.is_delivery) {
+          Set(other.del);
         } else {
-          ::new (&fn) EventFn(std::move(other.fn));
+          Set(std::move(other.fn));
         }
       }
       return *this;
     }
-    ~Event() { DestroyPayload(); }
+    ~Event() { Clear(); }
 
-    void DestroyPayload() {
+    // Builds the payload in a cleared slot.
+    void Set(EventFn&& f) {
+      ::new (&fn) EventFn(std::move(f));
+      is_delivery = false;
+    }
+    void Set(const DeliveryRec& d) { ::new (&del) DeliveryRec(d); }
+
+    // Ends a closure's life (a boxed capture is freed here); the slot holds
+    // a record again.
+    void Clear() {
       if (!is_delivery) {
         fn.~EventFn();
+        is_delivery = true;
       }
     }
+  };
+
+  // What the queues order: an event's place in the canonical (time, key)
+  // order and the slot holding it.
+  struct Handle {
+    SimTime time;
+    uint64_t key;  // (stream << kStreamShift) | per-stream sequence
+    Event* ev;
 
     // Min-heap order: earliest time first, canonical key within one instant.
     // With a single stream the key degenerates to insertion sequence (FIFO).
-    bool Before(const Event& other) const {
+    bool Before(const Handle& other) const {
       if (time != other.time) {
         return time < other.time;
       }
       return key < other.key;
     }
+  };
+
+  // An event crossing partitions inside a round: no slot yet, because only
+  // the destination's thread may take one from its slab (DrainInbox does).
+  struct Mail {
+    SimTime time;
+    uint64_t key;
+    Event ev;
   };
 
   // One side of a per-(source, destination) cross-partition mail bucket.
@@ -403,8 +429,14 @@ class Simulator {
   // other, and the window barrier's release/acquire chain orders the
   // handoff.
   struct alignas(64) OutBucket {
-    std::vector<Event> ev;
-    SimTime min_time = 0;  // valid while ev is nonempty
+    std::vector<Mail> mail;
+    SimTime min_time = 0;  // valid while mail is nonempty
+  };
+
+  // A transmit group open in a context: the link direction it belongs to.
+  struct OpenGroup {
+    Link* link;
+    int from_end;
   };
 
   // A bucket an LP window wrote: its destination and earliest staged time.
@@ -429,8 +461,9 @@ class Simulator {
   // One event stream. ctxs_[0] is the global/legacy stream; ctxs_[1..P] are
   // the logical processes of parallel mode. Each is touched by exactly one
   // thread at a time: its round worker inside a round, the coordinator
-  // everywhere else (handoffs ordered by the round barrier).
-  struct Ctx {
+  // everywhere else (handoffs ordered by the round barrier). Cache-line
+  // aligned, so workers running neighbouring LPs never share a line.
+  struct alignas(64) Ctx {
     NC_LP_SHARED Simulator* sim = nullptr;  // wiring-time, immutable after setup
     NC_LP_SHARED uint32_t index = 0;
     NC_LP_OWNED SimTime now = 0;
@@ -439,7 +472,14 @@ class Simulator {
     NC_LP_OWNED uint64_t peak = 0;    // max heap size, sampled at timestamp advances
     NC_LP_OWNED uint64_t bursts = 0;
     NC_LP_OWNED uint64_t burst_pkts = 0;
-    NC_LP_OWNED std::vector<Event> heap;  // explicit binary min-heap
+    NC_LP_OWNED std::vector<Handle> heap;  // explicit binary min-heap
+    // Every event pending in this context — heap, lanes — sits in a slot of
+    // `slab`. A deque, so slots never move while handles point at them;
+    // `free_slots` recycles them, so steady state allocates nothing.
+    NC_LP_OWNED std::deque<Event> slab;
+    NC_LP_OWNED std::vector<Event*> free_slots;
+    // Transmit groups opened at `now`, in opening order (OpenEgressGroup).
+    NC_LP_OWNED std::vector<OpenGroup> open_groups;
     // Scratch buffers for RunDelivery, members so steady state allocates
     // nothing per burst.
     NC_LP_OWNED std::vector<DeliveryRec> batch;
@@ -474,7 +514,7 @@ class Simulator {
     NC_LP_SHARED Node* node = nullptr;  // wiring-time, immutable after setup
     NC_LP_SHARED SimDuration delay = 0;
     NC_LP_SHARED Ctx* ctx = nullptr;    // moved by ConfigurePartitions
-    NC_LP_OWNED std::deque<Event> events;
+    NC_LP_OWNED std::deque<Handle> events;  // slots in ctx's slab
   };
 
  private:
@@ -489,18 +529,35 @@ class Simulator {
 
   // Heap primitives operate on c.heap and keep c.heap_extra in sync with the
   // burst records passing through (see Ctx::heap_extra).
-  static void PushHeap(Ctx& c, Event ev);
-  static Event PopHeap(Ctx& c);
+  static void PushHeap(Ctx& c, Handle h);
+  static Handle PopHeap(Ctx& c);
+  // Moves a drained mail event into a slot of `to` and pushes it.
+  static void PushMail(Ctx& to, Mail& m);
+
+  // Slab slots of c: a cleared slot to build an event in, and the return of
+  // one whose event ran (its closure is destroyed here).
+  static Event* NewSlot(Ctx& c) {
+    if (c.free_slots.empty()) {
+      return &c.slab.emplace_back();
+    }
+    Event* ev = c.free_slots.back();
+    c.free_slots.pop_back();
+    return ev;
+  }
+  static void FreeSlot(Ctx& c, Event* ev) {
+    ev->Clear();
+    c.free_slots.push_back(ev);
+  }
 
   // The one dispatch rule: Peek returns c's next event in (time, key) order —
   // the heap front or the earliest lane front — or nullptr when c holds
   // none; Take pops the event the last Peek(c) returned. Nothing may be
   // scheduled into c between the two.
-  static const Event* Peek(Ctx& c);
-  static Event Take(Ctx& c);
+  static const Handle* Peek(Ctx& c);
+  static Handle Take(Ctx& c);
   static SimTime NextTime(Ctx& c) {
-    const Event* ev = Peek(c);
-    return ev == nullptr ? kNeverTime : ev->time;
+    const Handle* h = Peek(c);
+    return h == nullptr ? kNeverTime : h->time;
   }
 
   // The executing context: the global stream unless a round worker or a
@@ -523,7 +580,11 @@ class Simulator {
     return outbox_[(side * stride_ + src) * stride_ + dest];
   }
 
-  void Route(Ctx& from, Ctx& to, Event ev);
+  // Builds the event stamped (at, key) for context `to`: in a slot of `to`'s
+  // slab, or as mail when a round forbids touching `to`. `Payload` is an
+  // EventFn or a DeliveryRec.
+  template <typename Payload>
+  void Route(Ctx& from, Ctx& to, SimTime at, uint64_t key, Payload&& payload);
   void RunWindowed(SimTime until);
   void RunSerialInstant(SimTime t);
   void FoldSummaries();
@@ -539,7 +600,12 @@ class Simulator {
   void RunHomeWindows(size_t slot, uint64_t& tick);
   void RunLpWindow(Ctx& lp, uint64_t& tick);
   uint64_t DrainInbox(Ctx& lp);
-  void DispatchIn(Ctx& c, Event& ev, bool coalesce);
+  // Closes the transmit groups open in c (each ships its delivery, stamped
+  // from c's stream; c must be the executing context). Returns whether there
+  // were any, i.e. whether c's next event may have changed.
+  static bool CloseGroups(Ctx& c);
+  // Runs the event in its slot, then frees the slot.
+  void DispatchIn(Ctx& c, Event* ev, bool coalesce);
   void RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce);
   void StartWorkers();
   void StopWorkers();

@@ -681,6 +681,36 @@ TEST(EgressCoalescingTest, SerialInstantDeliveryIsNotCountedAsBurst) {
   EXPECT_EQ(fenced.events, plain.events + 1);
 }
 
+// One packet from a global event at t=10 (a serial instant when
+// partitioned) and one from tx's own event at t=1000, on the same link
+// direction: each instant's group closes at its end, so the two deliver
+// separately, at their own serialization ends.
+std::vector<SimTime> RunSerialInstantTransmit(bool partitioned) {
+  Simulator sim;
+  NullTx tx;
+  RecordingNode rx(&sim);
+  Link link(&sim, LinkConfig{});
+  link.Connect(&tx, 0, &rx, 0);
+  if (partitioned) {
+    tx.set_lp(1);
+    rx.set_lp(1);
+    EXPECT_TRUE(sim.ConfigurePartitions(1, 1));
+  }
+  sim.ScheduleGlobalAt(10, [&] { link.Transmit(0, MakeGet(kClient, kServerA, K(0), 0)); });
+  sim.ScheduleAtFor(&tx, 1000, [&] { link.Transmit(0, MakeGet(kClient, kServerA, K(1), 1)); });
+  sim.RunAll();
+  EXPECT_EQ(rx.burst_sizes_, (std::vector<size_t>{1, 1}));
+  EXPECT_EQ(rx.seqs_, (std::vector<uint32_t>{0, 1}));
+  return rx.times_;
+}
+
+TEST(EgressCoalescingTest, SerialInstantTransmitClosesItsGroup) {
+  std::vector<SimTime> serial = RunSerialInstantTransmit(false);
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_EQ(serial[1] - serial[0], 990u);
+  EXPECT_EQ(RunSerialInstantTransmit(true), serial);
+}
+
 TEST(EgressCoalescingTest, DistinctInstantsFormDistinctGroups) {
   Simulator sim;
   NullTx tx;

@@ -53,13 +53,23 @@ TEST(ArgParserTest, DefaultsWhenAbsent) {
 }
 
 TEST(ArgParserTest, BadIntegerRecordsError) {
-  // A negative count would wrap to nearly 2^64 in the callers' unsigned casts.
-  for (const char* bad : {"--servers=banana", "--servers=-1"}) {
+  // A negative count would wrap to nearly 2^64 in the callers' unsigned
+  // casts; a value beyond int64_t would saturate to INT64_MAX.
+  for (const char* bad : {"--servers=banana", "--servers=-1", "--servers=99999999999999999999"}) {
     ArgParser args = Parse({"prog", bad});
     EXPECT_EQ(args.GetInt("servers", 7), 7) << bad;
     EXPECT_FALSE(args.ok()) << bad;
     ASSERT_EQ(args.errors().size(), 1u) << bad;
   }
+}
+
+TEST(ArgParserTest, IntegerBelowMinimumRecordsError) {
+  ArgParser args = Parse({"prog", "--servers=0", "--cache=0"});
+  EXPECT_EQ(args.GetInt("servers", 7, 1), 7);
+  EXPECT_EQ(args.GetInt("cache", 7), 0);
+  ASSERT_EQ(args.errors().size(), 1u);
+  EXPECT_NE(args.errors()[0].find("--servers must be at least 1"), std::string::npos)
+      << args.errors()[0];
 }
 
 TEST(ArgParserTest, BadDoubleRecordsError) {

@@ -149,6 +149,66 @@ TEST_F(ClientTest, SequenceNumbersDistinguishInflightQueries) {
   EXPECT_EQ(done_order, (std::vector<int>{2, 1}));
 }
 
+// Answers query `i` of those the peer swallowed.
+void ReplyTo(EchoPeer& peer, size_t i) {
+  Packet reply = peer.queries[i];
+  reply.SwapSrcDst();
+  reply.nc.op = OpCode::kGetReply;
+  reply.nc.has_value = true;
+  peer.Send(0, reply);
+}
+
+TEST_F(ClientTest, ManyInflightQueriesEachMatchTheirReply) {
+  // More queries in flight than the outstanding ring's first size, answered
+  // in reverse order.
+  peer_.swallow = true;
+  constexpr int kQueries = 300;
+  std::vector<int> done_order;
+  for (int i = 0; i < kQueries; ++i) {
+    client_->Get(kServerIp, K(i), [&done_order, i](const Status& s, const Value&) {
+      if (s.ok()) {
+        done_order.push_back(i);
+      }
+    });
+  }
+  EXPECT_EQ(client_->Outstanding(), static_cast<size_t>(kQueries));
+  sim_.RunUntil(100 * kMicrosecond);
+  ASSERT_EQ(peer_.queries.size(), static_cast<size_t>(kQueries));
+  for (int i = kQueries - 1; i >= 0; --i) {
+    ReplyTo(peer_, static_cast<size_t>(i));
+  }
+  sim_.RunAll();
+  ASSERT_EQ(done_order.size(), static_cast<size_t>(kQueries));
+  for (int i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(done_order[static_cast<size_t>(i)], kQueries - 1 - i);
+  }
+  EXPECT_EQ(client_->Outstanding(), 0u);
+  EXPECT_EQ(client_->stats().timeouts, 0u);
+}
+
+TEST_F(ClientTest, HeldQueryOutlivesManyLaterOnes) {
+  // One unanswered query while hundreds of later ones complete: the live
+  // sequence numbers span more than the ring's first size, and the held
+  // query must still match its reply.
+  peer_.swallow = true;
+  Status held = Status::Internal("never called");
+  client_->Get(kServerIp, K(0), [&](const Status& s, const Value&) { held = s; });
+  sim_.RunUntil(10 * kMicrosecond);
+  peer_.swallow = false;
+  int answered = 0;
+  for (int i = 1; i <= 200; ++i) {
+    client_->Get(kServerIp, K(i), [&](const Status& s, const Value&) { answered += s.ok() ? 1 : 0; });
+    sim_.RunUntil(sim_.Now() + 2 * kMicrosecond);
+  }
+  EXPECT_EQ(answered, 200);
+  EXPECT_EQ(client_->Outstanding(), 1u);
+  ReplyTo(peer_, 0);
+  sim_.RunAll();
+  EXPECT_TRUE(held.ok());
+  EXPECT_EQ(client_->Outstanding(), 0u);
+  EXPECT_EQ(client_->stats().timeouts, 0u);
+}
+
 TEST_F(ClientTest, LatencyRecorded) {
   client_->Get(kServerIp, K(1), [](const Status&, const Value&) {});
   sim_.RunAll();

@@ -149,7 +149,7 @@ bool WriteJsonFile(const std::string& path, Fill&& fill) {
 
 int RunRack(ArgParser& args) {
   RackConfig cfg;
-  cfg.num_servers = static_cast<size_t>(args.GetInt("servers", 8));
+  cfg.num_servers = static_cast<size_t>(args.GetInt("servers", 8, 1));
   cfg.cache_enabled = !args.GetBool("no-cache", false);
   cfg.switch_config.num_pipes = 1;
   size_t cache = static_cast<size_t>(args.GetInt("cache", 1000));
@@ -157,11 +157,11 @@ int RunRack(ArgParser& args) {
   cfg.switch_config.indexes_per_pipe = cfg.switch_config.cache_capacity;
   cfg.switch_config.stats.counter_slots = cfg.switch_config.cache_capacity;
   cfg.server_template.service_rate_qps = args.GetDouble("rate", 50e3);
-  cfg.server_template.num_cores = static_cast<size_t>(args.GetInt("cores", 1));
+  cfg.server_template.num_cores = static_cast<size_t>(args.GetInt("cores", 1, 1));
   cfg.client_template.reply_timeout = 10 * kMillisecond;
   cfg.controller_config.cache_capacity = cache;
 
-  uint64_t num_keys = static_cast<uint64_t>(args.GetInt("keys", 100000));
+  uint64_t num_keys = static_cast<uint64_t>(args.GetInt("keys", 100000, 1));
   double duration_s = args.GetDouble("duration", 0.5);
   std::string metrics_out = args.GetString("metrics-out", "");
   double metrics_interval_s = args.GetDouble("metrics-interval", 0.1);
@@ -536,10 +536,10 @@ SweepOutcome RunSweepTrial(const SweepShared& shared, const SweepPoint& point, u
 
 int RunSweep(ArgParser& args) {
   SweepShared shared;
-  shared.servers = static_cast<size_t>(args.GetInt("servers", 8));
-  shared.cores = static_cast<size_t>(args.GetInt("cores", 1));
+  shared.servers = static_cast<size_t>(args.GetInt("servers", 8, 1));
+  shared.cores = static_cast<size_t>(args.GetInt("cores", 1, 1));
   shared.rate = args.GetDouble("rate", 50e3);
-  shared.keys = static_cast<uint64_t>(args.GetInt("keys", 10'000));
+  shared.keys = static_cast<uint64_t>(args.GetInt("keys", 10'000, 1));
   shared.offered = args.GetDouble("offered", 100e3);
   shared.duration_s = args.GetDouble("duration", 0.1);
   shared.write_ratio = args.GetDouble("write-ratio", 0.0);
