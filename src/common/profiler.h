@@ -63,7 +63,7 @@ enum class ProfCat : uint8_t {
   kSwitchDigest = 5,      // burst stage 1: key digest + match prefetch
   kSwitchMatchPeek = 6,   // burst stage 2: match/peek + stats/value prefetch
   kSwitchValueServe = 7,  // burst stage 3: stats + value read + emit
-  kServerLookup = 8,      // server service: store lookup under the store mutex
+  kServerLookup = 8,      // server: store lookup, and its warm hints (arg 0), under the store mutex
   kServerReply = 9,       // server service: in-place reply rewrite + send
   kEgressFlush = 10,      // link: transmit-group close + delivery scheduling
 };

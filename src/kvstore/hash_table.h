@@ -74,6 +74,27 @@ class HashDyn {
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
+  // Two hints for a later Find, Upsert or Erase of a key whose hash is `h`;
+  // issued in order, one stage apart, they start its two dependent loads
+  // early. Neither changes the table or keeps a pointer, so a rehash in
+  // between makes a hint useless, never wrong.
+  //
+  // Starts loading the bucket slot `h` selects, without reading it.
+  void PrefetchBucket(size_t h) const { __builtin_prefetch(&buckets_[h & (buckets_.size() - 1)]); }
+  // Reads that slot (it stalls unless PrefetchBucket already warmed it) and
+  // starts loading every line of the chain's first node.
+  void PrefetchChain(size_t h) const {
+    const Node* head = buckets_[h & (buckets_.size() - 1)].get();
+    if (head == nullptr) {
+      return;
+    }
+    constexpr uintptr_t kLine = 64;
+    const uintptr_t begin = reinterpret_cast<uintptr_t>(head);
+    for (uintptr_t line = begin & ~(kLine - 1); line < begin + sizeof(Node); line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+
   // Removes the key. Returns true if it was present.
   bool Erase(const K& key) {
     size_t h = hash_(key);

@@ -41,6 +41,12 @@ class KvStore {
     return true;
   }
 
+  // The table's two lookup hints (HashDyn::PrefetchBucket/PrefetchChain)
+  // for a later Get, Put or Delete of a key whose Hash() is `h1`. They count
+  // no operation and change nothing.
+  void PrefetchBucket(uint64_t h1) const { table_.PrefetchBucket(static_cast<size_t>(h1)); }
+  void PrefetchChain(uint64_t h1) const { table_.PrefetchChain(static_cast<size_t>(h1)); }
+
   // Same lookup without touching the gets/hits counters. For observers
   // (invariant checkers, test assertions) that must not perturb the
   // metrics a run exports.

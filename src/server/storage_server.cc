@@ -36,6 +36,10 @@ size_t StorageServer::CoreOfDigest(const KeyDigest& digest) const {
   return static_cast<size_t>(digest.Probe(kCoreHashSeed) % config_.num_cores);
 }
 
+uint64_t StorageServer::StoreHash(const Packet& pkt) {
+  return pkt.digest.Empty() ? pkt.nc.key.Hash() : pkt.digest.h1;
+}
+
 size_t StorageServer::QueueDepth() const {
   size_t depth = 0;
   for (const Core& core : cores_) {
@@ -95,10 +99,19 @@ void StorageServer::EnqueueOrDrop(const Packet& pkt, bool front) {
     return;
   }
   ++stats_.enqueued;
+  {
+    // Warm stage one: every store op starts with the same chain walk, so
+    // start loading its bucket slot now, at least one service time before
+    // the lookup. The arg-0 span books the hint as store cost, not a packet.
+    ProfScope prof(ProfCat::kServerLookup);
+    MutexLock lock(store_mu_);
+    store_.PrefetchBucket(StoreHash(pkt));
+  }
+  Packet* job = sim_->packet_pool().Acquire(pkt);
   if (front) {
-    core.queue.push_front(pkt);
+    core.queue.push_front(job);
   } else {
-    core.queue.push_back(pkt);
+    core.queue.push_back(job);
   }
   StartNextIfIdle(core_index);
 }
@@ -109,10 +122,9 @@ void StorageServer::StartNextIfIdle(size_t core_index) {
     return;
   }
   core.busy = true;
-  // Park the in-service packet in the pool: the completion closure captures a
-  // pointer and stays within the inline-event budget (no heap allocation).
-  Packet* job = sim_->packet_pool().Acquire();
-  *job = std::move(core.queue.front());
+  // The pooled packet stays in service until completion: the closure
+  // captures a pointer and stays within the inline-event budget.
+  Packet* job = core.queue.front();
   core.queue.pop_front();
   if (TraceEnabled()) {
     TraceSpan(TraceEvent::kServerDequeue, TraceQueryId(*job), sim_->Now(), config_.ip,
@@ -126,6 +138,16 @@ void StorageServer::StartNextIfIdle(size_t core_index) {
     Core& done = cores_[core_index];
     ++done.processed;
     done.busy = false;
+    if (!done.queue.empty()) {
+      // Warm stage two, for the op this completion starts: its bucket slot
+      // was warmed when it queued, so read it now and start loading the
+      // chain's first node, which the op's lookup reads one service time
+      // later. An op that found its core idle skips this stage: reading its
+      // bucket at arrival would only move the miss there.
+      ProfScope prof(ProfCat::kServerLookup);
+      MutexLock lock(store_mu_);
+      store_.PrefetchChain(StoreHash(*done.queue.front()));
+    }
     StartNextIfIdle(core_index);
   });
 }
@@ -161,9 +183,7 @@ void StorageServer::ProcessGet(Packet& pkt) {
     // Key::Hash() by construction (proto/key_digest.h), so the table skips
     // re-hashing the key bytes; on a miss the field is left untouched and
     // has_value=false keeps it off the wire.
-    hit = store_.GetInto(pkt.nc.key,
-                         pkt.digest.Empty() ? pkt.nc.key.Hash() : pkt.digest.h1,
-                         &pkt.nc.value);
+    hit = store_.GetInto(pkt.nc.key, StoreHash(pkt), &pkt.nc.value);
   }
   // In-place reply rewrite: the pooled request packet becomes the reply —
   // no MakeReplyShell copy, no value copy (see the contract note at

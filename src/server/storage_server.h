@@ -15,6 +15,17 @@
 // Service model: queries are served FIFO from a bounded queue at a fixed
 // per-query service time (1 / service_rate). Arrivals beyond the queue bound
 // are dropped — exactly the paper's server-emulation methodology (§7.1).
+// An accepted query is copied once into a pooled Packet, and its core's
+// queue holds the pointer until the service completes. The store op runs at
+// completion, one service time after service starts, and the server uses
+// that slack to warm the op's two dependent loads a stage ahead (see
+// docs/PERFORMANCE.md, "Warmed store ops"):
+//   1. At acceptance, every op prefetches its bucket slot.
+//   2. When a completion starts the next queued op, that op reads its
+//      now-warm bucket slot and prefetches the chain's first node.
+// An op that finds its core idle skips stage 2, since reading its bucket at
+// arrival would only move the miss there. Both hints are booked as arg-0
+// server_lookup profiler spans, and neither changes what is simulated.
 //
 // Receive path: the server keeps Node's default burst handler, which hands
 // each arrival of a delivery to HandlePacket in order, so the agent handles
@@ -170,13 +181,16 @@ class StorageServer : public Node {
   };
 
   struct Core {
-    std::deque<Packet> queue;
+    std::deque<Packet*> queue;  // pooled copies; each is released at its completion
     bool busy = false;
     uint64_t processed = 0;
   };
 
   SimDuration ServiceTime() const;
   size_t CoreOfDigest(const KeyDigest& digest) const;
+  // The key's hash as the store computes it: a switch-crossed packet's
+  // digest h1 equals Key::Hash() (proto/key_digest.h).
+  static uint64_t StoreHash(const Packet& pkt);
   void EnqueueOrDrop(const Packet& pkt, bool front = false);
   void StartNextIfIdle(size_t core);
   // The in-service packet is pool-owned and mutable: reads rewrite it into

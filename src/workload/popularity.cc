@@ -8,28 +8,34 @@
 
 namespace netcache {
 
-PopularityMap::PopularityMap(uint64_t num_keys) : rank_to_key_(num_keys) {
-  std::iota(rank_to_key_.begin(), rank_to_key_.end(), 0ull);
+void PopularityMap::Materialize() {
+  if (rank_to_key_.empty()) {
+    rank_to_key_.resize(num_keys_);
+    std::iota(rank_to_key_.begin(), rank_to_key_.end(), 0ull);
+  }
 }
 
 void PopularityMap::HotIn(uint64_t n) {
-  NC_CHECK(n <= rank_to_key_.size());
+  NC_CHECK(n <= num_keys_);
+  Materialize();
   // Right-rotate by n: the last n entries (coldest) move to the front.
   std::rotate(rank_to_key_.begin(), rank_to_key_.end() - static_cast<ptrdiff_t>(n),
               rank_to_key_.end());
 }
 
 void PopularityMap::HotOut(uint64_t n) {
-  NC_CHECK(n <= rank_to_key_.size());
+  NC_CHECK(n <= num_keys_);
+  Materialize();
   // Left-rotate by n: the first n entries (hottest) move to the back.
   std::rotate(rank_to_key_.begin(), rank_to_key_.begin() + static_cast<ptrdiff_t>(n),
               rank_to_key_.end());
 }
 
 void PopularityMap::RandomReplace(uint64_t n, uint64_t m, Rng& rng) {
-  NC_CHECK(m <= rank_to_key_.size());
+  NC_CHECK(m <= num_keys_);
   NC_CHECK(n <= m);
-  NC_CHECK(n <= rank_to_key_.size() - m);
+  NC_CHECK(n <= num_keys_ - m);
+  Materialize();
   // Sample n distinct hot ranks in [0, m) and n distinct cold ranks in
   // [m, num_keys), then swap them pairwise.
   std::unordered_set<uint64_t> hot_ranks;
@@ -38,7 +44,7 @@ void PopularityMap::RandomReplace(uint64_t n, uint64_t m, Rng& rng) {
   }
   std::unordered_set<uint64_t> cold_ranks;
   while (cold_ranks.size() < n) {
-    cold_ranks.insert(m + rng.NextBounded(rank_to_key_.size() - m));
+    cold_ranks.insert(m + rng.NextBounded(num_keys_ - m));
   }
   auto hot_it = hot_ranks.begin();
   auto cold_it = cold_ranks.begin();
@@ -48,7 +54,12 @@ void PopularityMap::RandomReplace(uint64_t n, uint64_t m, Rng& rng) {
 }
 
 std::vector<uint64_t> PopularityMap::TopKeys(uint64_t n) const {
-  NC_CHECK(n <= rank_to_key_.size());
+  NC_CHECK(n <= num_keys_);
+  if (rank_to_key_.empty()) {
+    std::vector<uint64_t> top(n);
+    std::iota(top.begin(), top.end(), 0ull);
+    return top;
+  }
   return std::vector<uint64_t>(rank_to_key_.begin(), rank_to_key_.begin() + static_cast<ptrdiff_t>(n));
 }
 

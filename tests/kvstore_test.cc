@@ -156,6 +156,85 @@ TEST(HashDynTest, ClearResets) {
   EXPECT_EQ(t.Find(5), nullptr);
 }
 
+// The table shapes the lookup hints must leave alone. Each recipe is a
+// sequence of reserve/put/erase calls on key ids, so it builds a HashDyn and
+// a KvStore with the same bucket array.
+enum class HintShape { kEmpty, kMinBuckets, kReserved, kJustShrunk };
+constexpr HintShape kHintShapes[] = {HintShape::kEmpty, HintShape::kMinBuckets,
+                                     HintShape::kReserved, HintShape::kJustShrunk};
+
+template <typename Reserve, typename Put, typename Erase>
+void BuildHintShape(HintShape shape, Reserve reserve, Put put, Erase erase) {
+  switch (shape) {
+    case HintShape::kEmpty:
+      return;
+    case HintShape::kMinBuckets:
+      for (uint64_t id = 0; id < 10; ++id) {
+        put(id);
+      }
+      return;
+    case HintShape::kReserved:
+      reserve(4000);
+      for (uint64_t id = 0; id < 100; ++id) {
+        put(id);
+      }
+      return;
+    case HintShape::kJustShrunk:
+      // 1000 items grow the array to 1024 buckets; the erase that leaves
+      // 127 (< 1024 / 8) halves it.
+      for (uint64_t id = 0; id < 1000; ++id) {
+        put(id);
+      }
+      for (uint64_t id = 0; id < 873; ++id) {
+        erase(id);
+      }
+      return;
+  }
+}
+
+// Hashes of present and absent keys, plus arbitrary values: a hint must be
+// safe for any hash.
+std::vector<uint64_t> HintHashes() {
+  std::vector<uint64_t> hashes = {0, ~0ull, 0x9e3779b97f4a7c15ull};
+  for (uint64_t id = 0; id < 2000; ++id) {
+    hashes.push_back(Key::FromUint64(id).Hash());
+  }
+  return hashes;
+}
+
+// Every (key, value) in visiting order, which also pins the chain layout.
+template <typename Table>
+std::vector<std::pair<Key, Value>> Contents(const Table& t) {
+  std::vector<std::pair<Key, Value>> items;
+  t.ForEach([&items](const Key& k, const Value& v) { items.emplace_back(k, v); });
+  return items;
+}
+
+TEST(HashDynTest, LookupHintsChangeNothing) {
+  for (HintShape shape : kHintShapes) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    HashDyn<Key, Value, KeyHasher> t;
+    BuildHintShape(
+        shape, [&t](size_t n) { t.Reserve(n); },
+        [&t](uint64_t id) { t.Upsert(Key::FromUint64(id), Value::Filler(id, 64)); },
+        [&t](uint64_t id) { t.Erase(Key::FromUint64(id)); });
+    if (shape == HintShape::kJustShrunk) {
+      ASSERT_EQ(t.bucket_count(), 512u);
+    }
+    const size_t size = t.size();
+    const size_t buckets = t.bucket_count();
+    const std::vector<std::pair<Key, Value>> before = Contents(t);
+    for (uint64_t h : HintHashes()) {
+      t.PrefetchBucket(h);
+      t.PrefetchChain(h);
+    }
+    EXPECT_EQ(t.size(), size);
+    EXPECT_EQ(t.bucket_count(), buckets);
+    EXPECT_EQ(Contents(t), before);
+    EXPECT_TRUE(t.CheckIntegrity());
+  }
+}
+
 TEST(KvStoreTest, GetPutDelete) {
   KvStore store;
   Key k = Key::FromUint64(1);
@@ -202,6 +281,32 @@ TEST(KvStoreTest, ReserveCountsNoOperation) {
   EXPECT_EQ(store.size(), 100u);
   EXPECT_EQ(store.stats().puts, 100u);
   EXPECT_EQ(*store.Peek(Key::FromUint64(42)), WorkloadGenerator::ValueFor(42, 16));
+}
+
+TEST(KvStoreTest, LookupHintsCountNoOperation) {
+  for (HintShape shape : kHintShapes) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    KvStore store;
+    BuildHintShape(
+        shape, [&store](size_t n) { store.Reserve(n); },
+        [&store](uint64_t id) { store.Put(Key::FromUint64(id), Value::Filler(id, 64)); },
+        [&store](uint64_t id) { store.Delete(Key::FromUint64(id)).ok(); });
+    store.Get(Key::FromUint64(999)).ok();  // a hit in the shapes that hold 999
+    store.Get(Key::FromUint64(5000)).ok();  // a miss in all of them
+    const KvStore::Stats stats = store.stats();
+    const size_t size = store.size();
+    const std::vector<std::pair<Key, Value>> before = Contents(store);
+    for (uint64_t h : HintHashes()) {
+      store.PrefetchBucket(h);
+      store.PrefetchChain(h);
+    }
+    EXPECT_EQ(store.stats().gets, stats.gets);
+    EXPECT_EQ(store.stats().hits, stats.hits);
+    EXPECT_EQ(store.stats().puts, stats.puts);
+    EXPECT_EQ(store.stats().deletes, stats.deletes);
+    EXPECT_EQ(store.size(), size);
+    EXPECT_EQ(Contents(store), before);
+  }
 }
 
 TEST(KvStoreTest, ForEachEnumerates) {

@@ -1,24 +1,27 @@
 # The rack's simulated outcome, pinned. Invoked by CTest as:
 #   cmake -DSIM=<netcache_sim> -DWORK_DIR=<dir> -DGOLDEN=<json> -P rack_outcome_test.cmake
 #
-# Runs netcache_sim rack on one small shape three ways: the serial
-# dispatcher, the partitioned schedule on 4 workers, and skewed writes (the
-# coherence path, with servers shedding). From each metrics JSON it keeps
-# sent, completed, sim_time_ns and every `metrics` and `timeseries` entry
-# whose name does not start with `sim.`: every counter and gauge value,
-# histogram summary and time-series bin of a simulated outcome. The `sim.*`
-# entries describe the event schedule (events dispatched, queue peak, window
-# sizes), which an engine change may move on purpose; nothing else may.
+# Runs netcache_sim rack on one small shape four ways: the serial
+# dispatcher, the partitioned schedule on 4 workers, skewed writes (the
+# coherence path, with servers shedding) and uniform keys (almost every
+# query misses the switch and is served by a store). From each metrics
+# JSON it keeps sent, completed, sim_time_ns and every `metrics` and
+# `timeseries` entry whose name does not start with `sim.`: every counter
+# and gauge value, histogram summary and time-series bin of a simulated
+# outcome. The `sim.*` entries describe the event schedule (events
+# dispatched, queue peak, window sizes), which an engine change may move
+# on purpose; nothing else may.
 #
 # Each run's kept part must equal its entry in GOLDEN. To rewrite GOLDEN
 # from a build whose outcome is trusted, add -DREGENERATE=ON.
 
 set(SHAPE rack --servers=8 --keys=20000 --cache=200 --offered=600000
     --duration=0.1 --metrics-interval=0.02 --seed=11)
-set(RUNS serial sim_threads_4 skewed_writes)
+set(RUNS serial sim_threads_4 skewed_writes uniform)
 set(FLAGS_serial)
 set(FLAGS_sim_threads_4 --sim-threads=4)
 set(FLAGS_skewed_writes --write-ratio=0.1 --skewed-writes)
+set(FLAGS_uniform --zipf=0)
 
 # Sets `out_var` to the outcome part of the metrics JSON text `json`.
 function(outcome_of json out_var)

@@ -398,6 +398,105 @@ TEST(PerCoreServerTest, UniformKeysUseAllCores) {
   }
 }
 
+// ------------------------------------------------- pooled queues, warmed store ops
+
+// A one-core server with a 1 ms service time: everything injected at t=0
+// arrives while the first op is still in service, so the rest queue.
+struct SlowServerRig {
+  SlowServerRig() {
+    ServerConfig cfg;
+    cfg.ip = kServer;
+    cfg.switch_ip = kSwitch;
+    cfg.service_rate_qps = 1e3;
+    cfg.queue_capacity = 8;
+    server = std::make_unique<StorageServer>(&sim, "server", cfg);
+    link = std::make_unique<Link>(&sim, LinkConfig{});
+    link->Connect(server.get(), 0, &tor, 0);
+  }
+
+  Simulator sim;
+  TorStub tor;
+  std::unique_ptr<StorageServer> server;
+  std::unique_ptr<Link> link;
+};
+
+TEST(WarmedStoreOpTest, QueuedGetsSurviveRehashes) {
+  SlowServerRig rig;
+  for (uint64_t id = 1; id <= 4; ++id) {
+    rig.server->store().Put(K(id), Value::Filler(id, 64));
+  }
+  // The first Get takes the core; the other four queue with their bucket
+  // slots warmed. Key 1000 is not stored yet.
+  for (uint64_t id : {1, 2, 3, 4, 1000}) {
+    Inject2(rig.tor, MakeGet(kClient, kServer, K(id), static_cast<uint32_t>(id)));
+  }
+  rig.sim.RunUntil(500 * kMicrosecond);
+  ASSERT_EQ(rig.server->QueueDepth(), 4u);
+  // Rehash between arrival and service start (16 -> 128 buckets).
+  for (uint64_t id = 1000; id < 1100; ++id) {
+    rig.server->ControlApply(K(id), Value::Filler(id, 32));
+  }
+  // The second Get is now in service with its chain warmed; rehash again
+  // before its lookup (-> 2048 buckets).
+  rig.sim.RunUntil(1500 * kMicrosecond);
+  ASSERT_EQ(rig.server->QueueDepth(), 3u);
+  ASSERT_EQ(rig.server->BusyCores(), 1u);
+  for (uint64_t id = 1100; id < 3000; ++id) {
+    rig.server->ControlApply(K(id), Value::Filler(id, 32));
+  }
+  rig.sim.RunAll();
+  ASSERT_EQ(rig.tor.CountOfType(OpCode::kGetReply), 5u);
+  for (const Packet& reply : rig.tor.received) {
+    const uint64_t id = reply.nc.seq;
+    ASSERT_TRUE(reply.nc.has_value) << id;
+    EXPECT_EQ(reply.nc.value, id == 1000 ? Value::Filler(id, 32) : Value::Filler(id, 64)) << id;
+  }
+}
+
+TEST(WarmedStoreOpTest, GetQueuedBehindPutReadsItsValue) {
+  SlowServerRig rig;
+  rig.server->store().Put(K(7), Value::Filler(7, 64));
+  rig.server->store().Put(K(8), Value::Filler(8, 64));
+  Inject2(rig.tor, MakeGet(kClient, kServer, K(8), 1));  // takes the core
+  Inject2(rig.tor, MakePut(kClient, kServer, K(7), Value::Filler(70, 48), 2));
+  Inject2(rig.tor, MakeGet(kClient, kServer, K(7), 3));
+  rig.sim.RunAll();
+  auto reply = rig.tor.LastOfType(OpCode::kGetReply);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->nc.seq, 3u);
+  ASSERT_TRUE(reply->nc.has_value);
+  EXPECT_EQ(reply->nc.value, Value::Filler(70, 48));
+}
+
+TEST(WarmedStoreOpTest, EveryPooledPacketReturnsToThePool) {
+  SlowServerRig rig;
+  for (uint64_t id = 0; id < 8; ++id) {
+    rig.server->store().Put(K(id), Value::Filler(id, 64));
+  }
+  // 24 ops at once: one in service, nine queued, the rest dropped.
+  for (uint32_t seq = 0; seq < 24; ++seq) {
+    const Key key = K(seq % 10);
+    switch (seq % 3) {
+      case 0:
+        Inject2(rig.tor, MakeGet(kClient, kServer, key, seq));
+        break;
+      case 1:
+        Inject2(rig.tor, MakePut(kClient, kServer, key, Value::Filler(seq, 32), seq));
+        break;
+      default:
+        Inject2(rig.tor, MakeDelete(kClient, kServer, key, seq));
+        break;
+    }
+  }
+  rig.sim.RunAll();
+  EXPECT_EQ(rig.server->stats().enqueued, 10u);
+  EXPECT_EQ(rig.server->stats().dropped, 14u);
+  EXPECT_EQ(rig.tor.received.size(), 10u);
+  PacketPool& pool = rig.sim.packet_pool();
+  EXPECT_GT(pool.allocated(), 0u);
+  EXPECT_EQ(pool.free_count(), pool.allocated());
+}
+
 // ------------------------------------------------- burst delivery
 
 // The simulator hands a server every delivery as a HandleBurst call, which

@@ -1,7 +1,9 @@
 // Tests for the workload substrate: partitioning, popularity permutations
 // (hot-in / random / hot-out), and the query generator's mix semantics.
 
+#include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +95,58 @@ TEST(PopularityTest, TopKeysSnapshot) {
   pop.HotIn(2);
   std::vector<uint64_t> top = pop.TopKeys(3);
   EXPECT_EQ(top, (std::vector<uint64_t>{8, 9, 0}));
+}
+
+// Two rankings agree on every rank, on TopKeys and on num_keys.
+void ExpectSameRanking(const PopularityMap& got, const PopularityMap& want) {
+  ASSERT_EQ(got.num_keys(), want.num_keys());
+  for (uint64_t r = 0; r < want.num_keys(); ++r) {
+    ASSERT_EQ(got.KeyAtRank(r), want.KeyAtRank(r)) << "rank " << r;
+  }
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{7}, want.num_keys()}) {
+    EXPECT_EQ(got.TopKeys(n), want.TopKeys(n)) << "top " << n;
+  }
+}
+
+// The identity ranking stays implicit until the first mutation. This one
+// has its table built by HotIn(n) then HotOut(n), which leave it the
+// explicit identity: the reference for an implicit one.
+PopularityMap ExplicitIdentity(uint64_t num_keys) {
+  PopularityMap map(num_keys);
+  map.HotIn(num_keys / 2);
+  map.HotOut(num_keys / 2);
+  return map;
+}
+
+// Applies `mutate(map, rng)` to an implicit and to an explicit identity
+// over 100 keys, each with its own Rng(7), and compares the results.
+template <typename Mutate>
+void ExpectSameAfter(Mutate mutate) {
+  PopularityMap got(100);
+  PopularityMap want = ExplicitIdentity(100);
+  Rng got_rng(7);
+  Rng want_rng(7);
+  mutate(got, got_rng);
+  mutate(want, want_rng);
+  ExpectSameRanking(got, want);
+}
+
+TEST(PopularityTest, ImplicitIdentityMatchesExplicitTable) {
+  std::vector<uint64_t> iota(100);
+  std::iota(iota.begin(), iota.end(), 0ull);
+  EXPECT_EQ(ExplicitIdentity(100).TopKeys(100), iota);
+  ExpectSameRanking(PopularityMap(100), ExplicitIdentity(100));
+
+  ExpectSameAfter([](PopularityMap& map, Rng&) { map.HotIn(10); });
+  ExpectSameAfter([](PopularityMap& map, Rng&) { map.HotOut(10); });
+  ExpectSameAfter([](PopularityMap& map, Rng& rng) { map.RandomReplace(5, 20, rng); });
+  ExpectSameAfter([](PopularityMap& map, Rng& rng) {
+    map.RandomReplace(4, 10, rng);
+    map.HotIn(7);
+    map.HotOut(3);
+    map.RandomReplace(2, 50, rng);
+    map.HotIn(1);
+  });
 }
 
 TEST(GeneratorTest, ReadOnlyProducesGets) {
@@ -222,6 +276,32 @@ TEST(GeneratorTest, DeterministicForSeed) {
     Query qb = b.Next();
     EXPECT_EQ(qa.key_id, qb.key_id);
     EXPECT_EQ(qa.op, qb.op);
+  }
+}
+
+// The first keys of a fixed-seed generator, uniform and zipf-0.99, as the
+// explicit-table ranking produced them: the implicit identity must draw
+// exactly the same keys.
+TEST(GeneratorTest, FirstKeysMatchRecordedSequence) {
+  const std::vector<uint64_t> uniform = {
+      52443, 29490, 24355, 42165, 74819, 80829, 97852, 66296, 9500,  38237, 59037,
+      81671, 53840, 49751, 35467, 86830, 36152, 26537, 90840, 72631, 66531, 48471,
+      60613, 26274, 45687, 36005, 249,   50435, 44904, 76282, 63460, 65333};
+  const std::vector<uint64_t> zipf = {
+      209, 3267, 5979, 723,  12,   5,    0,     38,  33641, 1157, 93,
+      5,   176,  290,  1609, 2,    1483, 4627,  1,   17,    36,   338,
+      76,  4772, 473,  1510, 97197, 267, 520,   10,  54,    42};
+  for (auto [alpha, want] : {std::pair{0.0, uniform}, std::pair{0.99, zipf}}) {
+    WorkloadConfig cfg;
+    cfg.num_keys = 100000;
+    cfg.zipf_alpha = alpha;
+    cfg.seed = 2024;
+    WorkloadGenerator gen(cfg);
+    std::vector<uint64_t> got;
+    for (size_t i = 0; i < want.size(); ++i) {
+      got.push_back(gen.Next().key_id);
+    }
+    EXPECT_EQ(got, want) << "alpha " << alpha;
   }
 }
 
