@@ -50,7 +50,7 @@ Outcome RunMode(bench::BenchHarness& harness, CoherenceMode mode) {
   // controller re-insertion is visible.
   cfg.controller_config.control_op_latency = 10 * kMillisecond;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
+  harness.RecordEffectiveSimThreads(rack.sim().sim_threads());
   rack.Populate(1000, 64);
   rack.WarmCache({K(1)});
   rack.StartController();

@@ -45,7 +45,7 @@ std::vector<double> RunHotIn(bench::BenchHarness& harness, SimDuration control_o
   cfg.controller_config.control_op_latency = control_op_latency;
   cfg.controller_config.stats_epoch = 1 * kSecond;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
+  harness.RecordEffectiveSimThreads(rack.sim().sim_threads());
   rack.Populate(kNumKeys, 128);
 
   WorkloadConfig wl;

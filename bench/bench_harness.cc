@@ -89,9 +89,9 @@ int BenchHarness::Finish() const {
   w.BeginObject();
   w.Field("threads", static_cast<uint64_t>(threads_));
   w.Field("sim_threads", static_cast<uint64_t>(sim_threads_));
-  // What the DES trials actually ran with (zero-lookahead topologies fall
-  // back to the serial dispatcher); equals sim_threads unless a bench
-  // reported otherwise via RecordEffectiveSimThreads.
+  // What the DES trials actually ran with (the simulator clamps workers to
+  // its LP count); equals sim_threads unless a bench reported otherwise via
+  // RecordEffectiveSimThreads.
   w.Field("sim_threads_effective",
           static_cast<uint64_t>(effective_sim_threads_.load(std::memory_order_relaxed)));
   w.Field("serial", serial_ ? 1 : 0);

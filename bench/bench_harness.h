@@ -15,7 +15,7 @@
 //   --threads=N        worker threads for ParallelSweep-driven benches
 //   --serial           force serial trial execution
 //   --sim-threads=N    parallel-DES threads inside each trial's simulator
-//                      (0 = serial dispatcher)
+//                      (0 = every node in one LP, run inline)
 //   --profile-out=FILE wall-clock profile of the whole run as Chrome
 //                      trace-event JSON (Perfetto-loadable; aggregate with
 //                      tools/profile_report.py) — installed for the process
@@ -24,13 +24,13 @@
 //
 // The threading knobs are recorded in the JSON's top-level "config" object —
 // including `sim_threads_effective`, which DES benches set to what actually
-// ran (RecordEffectiveSimThreads) when e.g. a zero-lookahead topology forces
-// the serial-dispatcher fallback — along with `simd_level` ("sse2" |
-// "scalar"), the target's baseline vector ISA. scripts/bench_regress.py refuses
-// to compare documents whose run configs differ, so a parallel run can never
-// be graded against a serial baseline (or vice versa), nor an x86-64 run
-// against a non-x86 one, nor against a run whose parallel request silently
-// degraded.
+// ran (RecordEffectiveSimThreads) when the simulator clamps the worker count
+// to its LP count — along with `simd_level` ("sse2" | "scalar"), the
+// target's baseline vector ISA. scripts/bench_regress.py refuses to compare
+// documents whose run configs differ, so a partitioned run can never be
+// graded against a one-LP baseline (or vice versa), nor an x86-64 run
+// against a non-x86 one, nor against a run whose parallel request was
+// clamped.
 //
 // Wall-clock calls live only in bench/ — the simulation library and tools are
 // wall-clock-free by lint rule; benches are the one place timing is the point.
@@ -49,7 +49,6 @@
 
 #include "common/profiler.h"
 #include "core/sweep.h"
-#include "net/simulator.h"
 
 namespace netcache {
 namespace bench {
@@ -93,10 +92,10 @@ class BenchHarness {
   // trials out, --sim-threads parallelizes inside one trial.
   size_t sim_threads() const { return sim_threads_; }
 
-  // DES benches report the worker count their simulator actually used (see
-  // EffectiveSimThreads below) — 0 when the partitioned schedule fell back
-  // to the serial dispatcher. Thread-safe: trials may run on sweep workers.
-  // Defaults to the requested --sim-threads when never called.
+  // DES benches report the worker count their simulator actually used
+  // (Simulator::sim_threads(), clamped to its LP count). Thread-safe: trials
+  // may run on sweep workers. Defaults to the requested --sim-threads when
+  // never called.
   void RecordEffectiveSimThreads(size_t effective) {
     effective_sim_threads_.store(effective, std::memory_order_relaxed);
   }
@@ -125,13 +124,6 @@ class BenchHarness {
   // Destroyed after every trial's simulator (trials are function-local).
   std::unique_ptr<Profiler> profiler_;
 };
-
-// The worker count a configured simulator actually runs with: 0 when the
-// partitioned schedule is off (never configured, or the zero-lookahead
-// fallback rejected it at ConfigurePartitions time).
-inline size_t EffectiveSimThreads(const Simulator& sim) {
-  return sim.partitioned() ? sim.sim_threads() : 0;
-}
 
 // RAII wall-clock scope for one trial's simulation section.
 class TrialTimer {

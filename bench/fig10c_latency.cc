@@ -47,7 +47,7 @@ Point RunPoint(bench::BenchHarness& harness, bool cache_enabled, double rate_qps
   cfg.client_template.reply_timeout = 50 * kMillisecond;
 
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
+  harness.RecordEffectiveSimThreads(rack.sim().sim_threads());
   constexpr uint64_t kNumKeys = 20'000;
   rack.Populate(kNumKeys, 128);
 

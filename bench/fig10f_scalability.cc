@@ -78,7 +78,7 @@ void RunDesTrial(bench::BenchHarness& harness, size_t racks, SimDuration duratio
   cfg.fabric_propagation = 2 * kMicrosecond;
   cfg.sim_threads = harness.sim_threads();
   Fabric fabric(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(fabric.sim()));
+  harness.RecordEffectiveSimThreads(fabric.sim().sim_threads());
   fabric.Populate(kNumKeys, 128);
 
   // Per-client generators: same popularity law, decorrelated streams.

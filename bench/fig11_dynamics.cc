@@ -56,7 +56,7 @@ WorkloadResult RunWorkload(bench::BenchHarness& harness, Churn churn) {
   cfg.controller_config.control_op_latency = 100 * kMicrosecond;  // ~10K updates/s
   cfg.controller_config.stats_epoch = 1 * kSecond;                // §6
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
+  harness.RecordEffectiveSimThreads(rack.sim().sim_threads());
   rack.Populate(kNumKeys, 128);
 
   WorkloadConfig wl;

@@ -39,7 +39,7 @@ std::vector<uint64_t> CollectLatencies(bench::BenchHarness& harness, bool cache_
   cfg.client_template.reply_timeout = 50 * kMillisecond;
   cfg.controller_config.cache_capacity = 64;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
+  harness.RecordEffectiveSimThreads(rack.sim().sim_threads());
   constexpr uint64_t kNumKeys = 100'000;
   rack.Populate(kNumKeys, 128);
 

@@ -52,7 +52,7 @@ Measured RunDes(bench::BenchHarness& harness, const Scenario& sc) {
   cfg.client_template.reply_timeout = 5 * kMillisecond;
   cfg.controller_config.cache_capacity = sc.cache > 0 ? sc.cache : 1;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
+  harness.RecordEffectiveSimThreads(rack.sim().sim_threads());
   rack.Populate(kKeys, 128);
 
   WorkloadConfig wl;

@@ -28,10 +28,10 @@ Both documents may carry a top-level "config" object recording the run setup
 ({"threads", "sim_threads", "sim_threads_effective", "serial", "simd_level"},
 written by bench_harness). When both sides have one and they disagree, the
 comparison is refused outright: wall-clock numbers are meaningless across
-threading setups, --sim-threads>=1 runs a different (windowed) event
-schedule than the legacy serial dispatcher, and simd_level names the
-build's vector level, so "scalar" vs "sse2" means one run came from a
-non-x86 build. Re-run the candidate with the baseline's flags on a host
+threading setups, --sim-threads=0 runs every node in one logical process
+while >= 1 runs the topology's partition (another round schedule, with its
+own window counts), and simd_level names the build's vector level, so
+"scalar" vs "sse2" means one run came from a non-x86 build. Re-run the candidate with the baseline's flags on a host
 of the baseline's architecture instead.
 
 Exit status: 0 when everything matches, 1 on any regression, missing trial,

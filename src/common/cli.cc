@@ -1,7 +1,9 @@
 #include "common/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 namespace netcache {
 
@@ -57,7 +59,7 @@ int64_t ArgParser::GetInt(const std::string& name, int64_t def, int64_t min) {
   return v;
 }
 
-double ArgParser::GetDouble(const std::string& name, double def) {
+double ArgParser::GetDouble(const std::string& name, double def, double min, double max) {
   auto it = flags_.find(name);
   if (it == flags_.end()) {
     return def;
@@ -66,6 +68,19 @@ double ArgParser::GetDouble(const std::string& name, double def) {
   double v = std::strtod(it->second.c_str(), &end);
   if (end == it->second.c_str() || *end != '\0') {
     errors_.push_back("--" + name + " expects a number, got '" + it->second + "'");
+    return def;
+  }
+  // NaN fails both comparisons; the default range excludes the infinities.
+  if (!(v >= min && v <= max)) {
+    std::ostringstream want;
+    if (!std::isfinite(v)) {
+      want << " must be a finite number";
+    } else if (min == kPositive) {
+      want << " must be positive";
+    } else {
+      want << " must lie in [" << min << ", " << max << "]";
+    }
+    errors_.push_back("--" + name + want.str() + ", got '" + it->second + "'");
     return def;
   }
   return v;

@@ -5,12 +5,15 @@
 // aborting so tools can print usage. GetInt rejects values outside int64_t
 // and values below `min`, 0 unless given: every integer flag is a count, a
 // size, a duration or a seed, and callers cast the result to an unsigned
-// type. A count the program cannot run with at 0 asks for min 1.
+// type. A count the program cannot run with at 0 asks for min 1. GetDouble
+// rejects NaN, infinities and values outside [min, max]; a rate or a
+// duration asks for min kPositive.
 
 #ifndef NETCACHE_COMMON_CLI_H_
 #define NETCACHE_COMMON_CLI_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,7 +28,12 @@ class ArgParser {
 
   std::string GetString(const std::string& name, const std::string& def) const;
   int64_t GetInt(const std::string& name, int64_t def, int64_t min = 0);
-  double GetDouble(const std::string& name, double def);
+  // The smallest positive double: as GetDouble's min, it asks for a value
+  // above 0.
+  static constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  double GetDouble(const std::string& name, double def,
+                   double min = std::numeric_limits<double>::lowest(),
+                   double max = std::numeric_limits<double>::max());
   bool GetBool(const std::string& name, bool def) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

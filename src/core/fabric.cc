@@ -124,7 +124,8 @@ Fabric::Fabric(const FabricConfig& config)
   }
 
   if (config.sim_threads > 0) {
-    // Partition layout: LP 1+s = spine s + its client (independent ingress
+    // With 0 threads every node stays in LP 1, run inline. Partition layout:
+    // LP 1+s = spine s + its client (independent ingress
     // pipelines), LP 1+spines+r = rack r (ToR + its servers). Only the
     // ToR<->spine hops cross partitions, so the lookahead is the fabric-hop
     // propagation delay. Controllers are not nodes; each is driven by exactly
@@ -143,11 +144,11 @@ Fabric::Fabric(const FabricConfig& config)
     // controller defers its cross-partition reaction onto the global stream
     // itself (CacheController::RegisterServer).
     sim_.ConfigurePartitions(spines + racks, config.sim_threads);
-    if (!controllers_.empty()) {
-      // LP-context ScheduleGlobal calls (hot-report pump, reject deferral)
-      // all carry at least one control-plane operation.
-      sim_.SetGlobalLookahead(config.controller_config.control_op_latency);
-    }
+  }
+  if (!controllers_.empty()) {
+    // LP-context ScheduleGlobal calls (hot-report pump, reject deferral) all
+    // carry at least one control-plane operation, in every layout.
+    sim_.SetGlobalLookahead(config.controller_config.control_op_latency);
   }
 }
 

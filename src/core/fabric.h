@@ -57,10 +57,11 @@ struct FabricConfig {
   // link.propagation.
   SimDuration fabric_propagation = 0;
   uint64_t partition_seed = 0x70617274;
-  // Parallel DES threads. 0 (default) keeps the serial dispatcher; >= 1
-  // partitions the fabric into one logical process per rack (ToR + its
-  // servers) plus one per spine (spine + its client); only ToR<->spine links
-  // cross partitions, so the lookahead is the fabric-hop propagation delay.
+  // Parallel DES threads. 0 (default) runs every node in one logical
+  // process, on the calling thread; >= 1 partitions the fabric into one
+  // logical process per rack (ToR + its servers) plus one per spine (spine +
+  // its client); only ToR<->spine links cross partitions, so the lookahead
+  // is the fabric-hop propagation delay.
   size_t sim_threads = 0;
 };
 

@@ -67,6 +67,7 @@ Rack::Rack(const RackConfig& config)
     // switch, so splitting it from the clients would only add barrier
     // traffic), LP 2+i = server i. Only the ToR<->server links cross
     // partitions, so the lookahead is the server-link propagation delay.
+    // With 0 threads every node stays in LP 1, run inline.
     tor_->set_lp(1);
     for (auto& client : clients_) {
       client->set_lp(1);
@@ -78,13 +79,13 @@ Rack::Rack(const RackConfig& config)
     // other packet; the controller defers its cross-partition reaction onto
     // the global stream itself (CacheController::RegisterServer).
     sim_.ConfigurePartitions(1 + servers_.size(), config_.sim_threads);
-    if (config_.cache_enabled) {
-      // Every ScheduleGlobal issued from LP context (hot-report pump,
-      // reject deferral) carries at least one control-plane operation, so
-      // advertise that as the global lookahead: rounds can run up to
-      // t0 + control_op_latency before a new global event can exist.
-      sim_.SetGlobalLookahead(config_.controller_config.control_op_latency);
-    }
+  }
+  if (config_.cache_enabled) {
+    // Every ScheduleGlobal issued from LP context (hot-report pump, reject
+    // deferral) carries at least one control-plane operation, so advertise
+    // that as the global lookahead, in the one-LP layout too: rounds can run
+    // up to t0 + control_op_latency before a new global event can exist.
+    sim_.SetGlobalLookahead(config_.controller_config.control_op_latency);
   }
 
   // One namespace for the whole rack's telemetry.
@@ -127,7 +128,7 @@ Rack::Rack(const RackConfig& config)
         [this, lp] { return static_cast<double>(sim_.lp_events(lp)); },
         {{"component", "sim"}, {"lp", std::to_string(lp)}});
   }
-  if (sim_.num_lps() > 0) {
+  {
     // The busiest LP's event count over the mean: how unevenly the topology
     // spreads work across partitions (a schedule property, so identical at
     // any --sim-threads; worker balance is a profile question).

@@ -42,12 +42,12 @@ struct RackConfig {
   LinkConfig server_link;            // ToR <-> server (paper: 25/40G)
   LinkConfig client_link;            // ToR <-> client (paper: 40G)
   uint64_t partition_seed = 0x70617274;
-  // Parallel DES threads for this rack's simulator. 0 (default) keeps the
-  // serial dispatcher; >= 1 partitions the topology into one logical process
-  // per server plus one for the switch+clients and runs lookahead windows on
-  // that many threads (1 executes the windowed schedule on the calling
-  // thread — byte-identical to any higher count). Falls back to serial if
-  // the topology has zero lookahead (see Simulator::ConfigurePartitions).
+  // Parallel DES threads for this rack's simulator. 0 (default) runs every
+  // node in one logical process, on the calling thread; >= 1 partitions the
+  // topology into one logical process per server plus one for the
+  // switch+clients and runs their windows on that many threads (1 executes
+  // that schedule on the calling thread — byte-identical to any higher
+  // count).
   size_t sim_threads = 0;
 };
 

@@ -35,8 +35,8 @@ class SnakeHarness::Endpoint : public Node {
   uint64_t value_ok() const { return value_ok_; }
 
  private:
-  // The snake harness is serial-only (no ConfigurePartitions), so these
-  // never see a non-coordinator context.
+  // The snake harness never partitions: every node runs in LP 1, so these
+  // are touched only by LP 1's windows and by serial instants.
   NC_LP_SHARED const SnakeHarness* harness_;
   NC_LP_OWNED uint64_t received_ = 0;
   NC_LP_OWNED uint64_t value_ok_ = 0;

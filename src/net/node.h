@@ -59,10 +59,9 @@ class Node {
   const std::string& name() const { return name_; }
   size_t num_ports() const { return links_.size(); }
 
-  // Logical-process label for the simulator's conservative-parallel mode:
-  // the partition (1-based) whose event heap runs this node's events, or 0
-  // (default) for the global stream, which always executes serially. Set by
-  // topology construction (Rack/Fabric) before Simulator::ConfigurePartitions.
+  // The logical process (1-based) that runs this node's events: LP 1, the
+  // only one an unpartitioned simulator has, unless topology construction
+  // (Rack/Fabric) labels the node before Simulator::ConfigurePartitions.
   void set_lp(uint32_t lp) { lp_ = lp; }
   uint32_t lp() const { return lp_; }
 
@@ -75,7 +74,7 @@ class Node {
   // All three are wiring-time state: written while the topology is built
   // (single-threaded, before ConfigurePartitions), immutable while events run.
   NC_LP_SHARED std::string name_;
-  NC_LP_SHARED uint32_t lp_ = 0;
+  NC_LP_SHARED uint32_t lp_ = 1;
   NC_LP_SHARED std::vector<PortSlot> links_;
 };
 

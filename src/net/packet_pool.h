@@ -76,8 +76,8 @@ class PacketPool {
   size_t allocated() const { return chunks_.size() * kChunkPackets; }
   size_t free_count() const { return free_.size(); }
 
-  // Labels the shard with the LP whose thread may touch it (0 = global /
-  // unpartitioned). Set by Simulator::ConfigurePartitions.
+  // Labels the shard with the LP whose thread may touch it (0 = the global
+  // stream's shard). Set by the Simulator when it creates the context.
   void set_owner_lp(uint32_t lp) { owner_lp_ = lp; }
   uint32_t owner_lp() const { return owner_lp_; }
 

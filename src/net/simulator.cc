@@ -22,18 +22,45 @@ inline uint64_t RecWeight(const Simulator::DeliveryRec& r) {
 
 }  // namespace
 
-thread_local Simulator::Ctx* Simulator::tls_ctx_ = nullptr;
-
 Simulator::Simulator() {
-  ctxs_.emplace_back();
-  legacy_ = &ctxs_[0];
-  legacy_->sim = this;
-  legacy_->index = 0;
-  legacy_->heap.reserve(kDefaultReserveEvents);
-  legacy_->free_slots.reserve(kDefaultReserveEvents);
-  // Per-LP counters answer for the global stream too (always 0).
-  summaries_.resize(1);
-  windows_merged_.resize(1);
+  AddLps(1);
+  exec_ = streams_[0];
+}
+
+void Simulator::AddLps(size_t num_lps) {
+  const size_t n = num_lps + 1;
+  while (ctxs_.size() < n) {
+    Ctx& c = ctxs_.emplace_back();
+    c.index = static_cast<uint32_t>(ctxs_.size() - 1);
+    c.now = ctxs_.front().now;
+    // The global stream and LP 1 carry every event of an unpartitioned run.
+    const size_t reserve = c.index <= 1 ? kDefaultReserveEvents : kDefaultReserveEvents / 4;
+    c.heap.reserve(reserve);
+    c.free_slots.reserve(reserve);
+    // Label the pool shard for the runtime ownership sanitizer: only the
+    // thread executing LP i may acquire from / release into shard i.
+    c.pool.set_owner_lp(c.index);
+    streams_.push_back(&c);
+  }
+  // Per-LP counters answer for the global stream too (always 0). Every
+  // array is empty of state here: nothing is pending (ConfigurePartitions).
+  stride_ = n;
+  outbox_.clear();
+  outbox_.resize(2 * n * n);
+  summaries_.resize(n);
+  senders_.resize(n);
+  for (size_t i = 1; i < n; ++i) {
+    summaries_[i].mail.reserve(n);
+    senders_[i].reserve(n);
+  }
+  home_.assign(n, 0);
+  dist_.assign(n * n, kNeverTime);
+  lp_next_.assign(n, kNeverTime);
+  next_.assign(n, kNeverTime);
+  mail_min_.assign(n, kNeverTime);
+  horizon_.assign(n, kNeverTime);
+  windows_merged_.assign(n, 0);
+  participants_.reserve(num_lps);
 }
 
 Simulator::~Simulator() { StopWorkers(); }
@@ -51,46 +78,32 @@ void Simulator::ScheduleAtFor(Node* node, SimTime at, EventFn fn) {
   Ctx* c = cur();
   NC_CHECK(at >= c->now) << "scheduling into the past: event at t=" << at
                          << " ns but Now() is t=" << c->now << " ns";
-  Ctx* dest = c;
-  if (partitioned_) {
-    NC_CHECK(node->lp() < ctxs_.size())
-        << node->name() << " labeled with partition " << node->lp() << " but only "
-        << num_lps() << " logical processes are configured";
-    dest = &ctxs_[node->lp()];
-  }
-  Route(*c, *dest, at, NextKey(*c), std::move(fn));
+  Route(*c, LpOf(node), at, NextKey(*c), std::move(fn));
 }
 
 void Simulator::ScheduleGlobalAt(SimTime at, EventFn fn) {
   Ctx* c = cur();
   NC_CHECK(at >= c->now) << "scheduling into the past: event at t=" << at
                          << " ns but Now() is t=" << c->now << " ns";
-  Route(*c, ctxs_[0], at, NextKey(*c), std::move(fn));
+  Route(*c, *streams_[0], at, NextKey(*c), std::move(fn));
 }
 
 void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
   Ctx* c = cur();
   NC_CHECK(at >= c->now) << "scheduling into the past: delivery at t=" << at
                          << " ns but Now() is t=" << c->now << " ns";
-  Ctx* dest = c;
-  if (partitioned_) {
-    NC_CHECK(rec.node->lp() < ctxs_.size())
-        << rec.node->name() << " labeled with partition " << rec.node->lp()
-        << " but only " << num_lps() << " logical processes are configured";
-    dest = &ctxs_[rec.node->lp()];
-  }
-  Route(*c, *dest, at, NextKey(*c), rec);
+  Route(*c, LpOf(rec.node), at, NextKey(*c), rec);
 }
 
 Simulator::Lane* Simulator::OpenLane(Node* node, SimDuration delay) {
-  NC_CHECK(!partitioned_) << node->name()
-                          << " opens a lane after ConfigurePartitions; lanes are "
-                             "wiring-time state";
+  NC_CHECK(!partitioned()) << node->name()
+                           << " opens a lane after ConfigurePartitions; lanes are "
+                              "wiring-time state";
   Lane& lane = lanes_.emplace_back();
   lane.node = node;
   lane.delay = delay;
-  lane.ctx = legacy_;
-  legacy_->lanes.push_back(&lane);
+  lane.ctx = streams_[1];
+  lane.ctx->lanes.push_back(&lane);
   return &lane;
 }
 
@@ -102,7 +115,7 @@ void Simulator::ScheduleInLane(Lane* lane, EventFn fn) {
   // The ScheduleAtFor path, taken when the lane cannot hold the event: it
   // would sort before the tail (a same-instant append stamped from a lower
   // stream), or another LP's worker owns the lane during this round.
-  if ((in_window_ && c != &to) || (!q.empty() && h.Before(q.back()))) {
+  if ((c != &to && in_window_) || (!q.empty() && h.Before(q.back()))) {
     Route(*c, to, h.time, h.key, std::move(fn));
     return;
   }
@@ -121,7 +134,7 @@ void Simulator::Route(Ctx& from, Ctx& to, SimTime at, uint64_t key, Payload&& pa
   // cannot matter: keys are a total order, and a binary heap's pop sequence
   // depends only on its content set — which is also why --sim-threads=1 and
   // =N produce byte-identical schedules.
-  if (!in_window_ || &from == &to) {
+  if (&from == &to || !in_window_) {
     Event* slot = NewSlot(to);
     slot->Set(std::forward<Payload>(payload));
     PushHeap(to, Handle{at, key, slot});
@@ -137,10 +150,25 @@ void Simulator::Route(Ctx& from, Ctx& to, SimTime at, uint64_t key, Payload&& pa
   bucket.mail.push_back(Mail{at, key, Event(std::forward<Payload>(payload))});
 }
 
-bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
-  NC_CHECK(!partitioned_) << "partitions already configured";
+void Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
+  NC_CHECK(!partitioned()) << "partitions already configured";
   NC_CHECK(num_lps >= 1 && num_lps < (1u << 16)) << "num_lps out of range";
   NC_CHECK(threads >= 1);
+  // Wiring time: an event or a transmit group already in a context would
+  // belong to the layout being replaced.
+  for (const Ctx& c : ctxs_) {
+    NC_CHECK(c.heap.empty() && c.lane_events == 0 && c.open_groups.empty())
+        << "ConfigurePartitions with events pending; partition the topology "
+           "at wiring time, before anything is scheduled";
+  }
+  AddLps(num_lps);
+  for (Ctx& c : ctxs_) {
+    c.lanes.clear();
+  }
+  for (Lane& lane : lanes_) {
+    lane.ctx = &LpOf(lane.node);
+    lane.ctx->lanes.push_back(&lane);
+  }
   // Lookahead: minimum propagation delay over inter-partition links. Links
   // inside one partition don't constrain the horizon. The link's
   // integer-picosecond transmit grid guarantees every delivery lands at least
@@ -148,67 +176,33 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
   // scheduled inside a round lands at or beyond every horizon derived from
   // these distances. kNeverTime (no cross links at all) means rounds are
   // bounded only by the global stream.
-  SimDuration look = kNeverTime;
-  for (Link* link : links_) {
-    Node* a = link->end_node(0);
-    Node* b = link->end_node(1);
-    if (a == nullptr || b == nullptr || a->lp() == b->lp()) {
-      continue;
-    }
-    NC_CHECK(a->lp() <= num_lps && b->lp() <= num_lps)
-        << "link endpoint labeled with partition beyond num_lps";
-    look = std::min(look, link->config().propagation);
-  }
-  if (look == 0) {
-    NC_LOG(WARN) << "parallel DES disabled: a cross-partition link has zero "
-                    "propagation delay (lookahead 0); falling back to the "
-                    "serial dispatcher";
-    return false;
-  }
-  const size_t n = num_lps + 1;
-  for (size_t i = 1; i <= num_lps; ++i) {
-    ctxs_.emplace_back();
-    Ctx& c = ctxs_.back();
-    c.sim = this;
-    c.index = static_cast<uint32_t>(i);
-    c.heap.reserve(kDefaultReserveEvents / 4);
-    c.free_slots.reserve(kDefaultReserveEvents / 4);
-    // Label the pool shard for the runtime ownership sanitizer: only the
-    // thread executing LP i may acquire from / release into shard i.
-    c.pool.set_owner_lp(c.index);
-  }
-  legacy_ = &ctxs_[0];
-  // Every lane moves to its node's LP. Events it already holds were
-  // scheduled in serial mode, i.e. into the global stream (their slots are
-  // in its slab), so they stay there.
-  legacy_->lanes.clear();
-  for (Lane& lane : lanes_) {
-    NC_CHECK(lane.node->lp() <= num_lps)
-        << lane.node->name() << " labeled with partition beyond num_lps";
-    for (const Handle& h : lane.events) {
-      PushHeap(*legacy_, h);
-    }
-    legacy_->lane_events -= lane.events.size();
-    lane.events.clear();
-    lane.ctx = &ctxs_[lane.node->lp()];
-    lane.ctx->lanes.push_back(&lane);
-  }
+  //
   // Per-LP channel clocks need the transitive closure of link propagation
   // delays: influence can relay through an idle intermediate LP, so a
   // horizon derived from direct in-edges alone would be unsound.
   // Floyd–Warshall over at most 2^16 LPs at wiring time is negligible next
   // to any run.
-  dist_.assign(n * n, kNeverTime);
+  const size_t n = stride_;
+  SimDuration look = kNeverTime;
   for (Link* link : links_) {
     Node* a = link->end_node(0);
     Node* b = link->end_node(1);
-    if (a == nullptr || b == nullptr || a->lp() == b->lp()) {
+    if (a == nullptr || b == nullptr) {
       continue;
     }
-    SimDuration& ab = dist_[a->lp() * n + b->lp()];
-    SimDuration& ba = dist_[b->lp() * n + a->lp()];
-    ab = std::min(ab, link->config().propagation);
-    ba = std::min(ba, link->config().propagation);
+    const uint32_t la = LpOf(a).index;
+    const uint32_t lb = LpOf(b).index;
+    if (la == lb) {
+      continue;
+    }
+    const SimDuration prop = link->config().propagation;
+    NC_CHECK(prop > 0) << "the link " << a->name() << " -- " << b->name() << " joins LPs "
+                       << la << " and " << lb
+                       << " with zero propagation delay: a zero lookahead leaves no "
+                          "window room to progress; keep both ends in one LP";
+    look = std::min(look, prop);
+    dist_[la * n + lb] = std::min(dist_[la * n + lb], prop);
+    dist_[lb * n + la] = std::min(dist_[lb * n + la], prop);
   }
   for (size_t k = 1; k < n; ++k) {
     for (size_t i = 1; i < n; ++i) {
@@ -228,24 +222,9 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
   }
   lookahead_ = look;
   threads_ = std::min(threads, num_lps);
-  stride_ = n;
-  outbox_.resize(2 * n * n);
-  summaries_.resize(n);
-  senders_.resize(n);
-  home_.assign(n, 0);
   for (size_t i = 1; i < n; ++i) {
-    summaries_[i].mail.reserve(n);
-    senders_[i].reserve(n);
     home_[i] = static_cast<uint32_t>((i - 1) % threads_);
   }
-  lp_next_.assign(n, kNeverTime);
-  next_.assign(n, kNeverTime);
-  mail_min_.assign(n, kNeverTime);
-  horizon_.assign(n, kNeverTime);
-  windows_merged_.assign(n, 0);
-  participants_.reserve(num_lps);
-  partitioned_ = true;
-  return true;
 }
 
 void Simulator::SetGlobalLookahead(SimDuration g) {
@@ -275,39 +254,9 @@ bool Simulator::CloseGroups(Ctx& c) {
   return true;
 }
 
-void Simulator::RunUntil(SimTime until) {
-  if (partitioned_) {
-    RunWindowed(until);
-    return;
-  }
-  Ctx& c = *legacy_;
-  for (;;) {
-    const Handle* next = Peek(c);
-    const bool runs = next != nullptr && next->time <= until;
-    if (!runs || next->time != c.now) {
-      // The clock leaves c.now, or the run stops there: the transmit groups
-      // opened at c.now are complete. Their deliveries may land before
-      // `next`, even at or below `until`, so peek again.
-      if (CloseGroups(c)) {
-        continue;
-      }
-      if (!runs) {
-        break;
-      }
-      SamplePeak(c);
-    }
-    Handle h = Take(c);
-    c.now = h.time;
-    ++c.events;
-    DispatchIn(c, h.ev, /*coalesce=*/true);
-  }
-  // An unbounded run leaves the clock at the last dispatched instant.
-  if (until != kNeverTime && c.now < until) {
-    c.now = until;
-  }
-}
+void Simulator::RunUntil(SimTime until) { RunWindowed(until); }
 
-void Simulator::RunAll() { RunUntil(kNeverTime); }
+void Simulator::RunAll() { RunWindowed(kNeverTime); }
 
 void Simulator::RunWindowed(SimTime until) {
   // Top-level code may have scheduled into any LP since the last run, and
@@ -315,8 +264,9 @@ void Simulator::RunWindowed(SimTime until) {
   // group is complete unless a global event is due at the same instant: a
   // serial instant then runs first and closes it at its end.
   lp_next_stale_ = true;
-  if (!legacy_->open_groups.empty() && NextTime(*legacy_) != legacy_->now) {
-    CloseGroups(*legacy_);
+  Ctx& global = *streams_[0];
+  if (!global.open_groups.empty() && NextTime(global) != global.now) {
+    CloseGroups(global);
   }
   // This thread's profiler spans are chained (Profiler::RecordSince): each
   // starts where the previous one ended, so window setup, summary
@@ -337,7 +287,7 @@ void Simulator::RunWindowed(SimTime until) {
       const size_t n = stride_;
       if (lp_next_stale_) {
         for (size_t i = 1; i < n; ++i) {
-          lp_next_[i] = NextTime(ctxs_[i]);
+          lp_next_[i] = NextTime(*streams_[i]);
         }
         lp_next_stale_ = false;
       }
@@ -346,7 +296,7 @@ void Simulator::RunWindowed(SimTime until) {
         next_[i] = std::min(lp_next_[i], mail_min_[i]);
         t0 = std::min(t0, next_[i]);
       }
-      tg = NextTime(ctxs_[0]);
+      tg = NextTime(global);
       t0 = std::min(t0, tg);
       if (t0 == kNeverTime || t0 > until) {
         // Leave every event in a heap so PendingEvents and a later RunUntil
@@ -385,8 +335,7 @@ void Simulator::RunWindowed(SimTime until) {
   }
   // Sync every context's clock to the run's end so Now() is well-defined
   // from any calling context afterwards: `until` for a bounded run, the
-  // globally last dispatched instant for an unbounded one (matching the
-  // serial dispatcher's post-RunAll semantics).
+  // globally last dispatched instant for an unbounded one.
   SimTime end = until;
   if (until == kNeverTime) {
     end = 0;
@@ -443,8 +392,8 @@ void Simulator::DeliverGlobalMail(uint32_t src) {
         << " ns but an LP already executed t=" << max_now
         << " ns; LP-context global schedules must carry at least the "
            "global lookahead (SetGlobalLookahead / control-plane "
-           "latency), or run with --sim-threads=0";
-    PushMail(ctxs_[0], m);
+           "latency)";
+    PushMail(*streams_[0], m);
   }
   mail.clear();
 }
@@ -528,7 +477,7 @@ void Simulator::DrainAllMail() {
     if (mail.empty()) {
       continue;
     }
-    Ctx& to = ctxs_[b % stride_];
+    Ctx& to = *streams_[b % stride_];
     for (Mail& m : mail) {
       NC_CHECK(m.time >= to.now)
           << "cross-partition event lands at t=" << m.time
@@ -554,7 +503,6 @@ void Simulator::RunSerialInstant(SimTime t) {
   // is active); the rescan picks them up in canonical order.
   ProfScope prof(ProfCat::kSerialFence);
   uint64_t executed = 0;
-  Ctx* prev = tls_ctx_;
   for (;;) {
     Ctx* best = nullptr;
     uint64_t best_key = 0;
@@ -578,27 +526,26 @@ void Simulator::RunSerialInstant(SimTime t) {
     best->now = t;
     ++best->events;
     ++executed;
-    // Install the event's home context so nested schedules stamp the right
-    // stream (an LP's event re-arming itself stays in that LP).
-    tls_ctx_ = best;
+    // The event's home context executes it, so nested schedules stamp the
+    // right stream (an LP's event re-arming itself stays in that LP).
+    exec_ = best;
     DispatchIn(*best, h.ev, /*coalesce=*/false);
-    tls_ctx_ = prev;
   }
   // Every event at t has run, so every group opened at t is complete. Each
   // context stamps its own groups' deliveries, which land after t.
   for (Ctx& c : ctxs_) {
-    tls_ctx_ = &c;
+    exec_ = &c;
     CloseGroups(c);
   }
-  tls_ctx_ = prev;
+  exec_ = streams_[0];
   prof.set_arg(executed);
 }
 
 bool Simulator::InlineRound() const {
-  // Single lane (or a round too small to be worth a barrier): the
+  // One thread (or a round too small to be worth a barrier): the
   // coordinator runs the identical schedule alone. Content and counters
   // cannot differ — this is the --sim-threads=1 byte-identity path.
-  return threads_ == 1 || participants_.size() == 1;
+  return threads_ <= 1 || participants_.size() == 1;
 }
 
 void Simulator::StartRound() {
@@ -607,6 +554,8 @@ void Simulator::StartRound() {
     return;
   }
   StartWorkers();
+  // Until the round ends, cur() reads the LP each thread's window installs.
+  exec_ = nullptr;
   for (BarrierNode& node : barrier_) {
     node.count.store(0, std::memory_order_relaxed);
   }
@@ -616,7 +565,8 @@ void Simulator::StartRound() {
 void Simulator::RunRound(uint64_t& tick) {
   if (InlineRound()) {
     for (uint32_t idx : participants_) {
-      RunLpWindow(ctxs_[idx], tick);
+      exec_ = streams_[idx];
+      RunLpWindow(*exec_, tick);
     }
   } else {
     RunHomeWindows(0, tick);
@@ -630,6 +580,7 @@ void Simulator::RunRound(uint64_t& tick) {
     }
     tick = Profiler::RecordSince(ProfCat::kBarrierWait, 0, tick);
   }
+  exec_ = streams_[0];
   in_window_ = false;
 }
 
@@ -638,15 +589,15 @@ void Simulator::RunHomeWindows(size_t slot, uint64_t& tick) {
   // and nodes stay in that core's cache from round to round.
   for (uint32_t idx : participants_) {
     if (home_[idx] == slot) {
-      RunLpWindow(ctxs_[idx], tick);
+      tls_ctx_ = streams_[idx];
+      RunLpWindow(*tls_ctx_, tick);
     }
   }
+  tls_ctx_ = nullptr;
 }
 
 void Simulator::RunLpWindow(Ctx& lp, uint64_t& tick) {
-  Ctx* prev = tls_ctx_;
-  tls_ctx_ = &lp;
-  // Publish the executing LP for the runtime ownership sanitizer: every
+  // The caller installed lp as the executing context (see cur()). Publish the executing LP for the runtime ownership sanitizer: every
   // NC_LP_CHECK fired from events in this round compares owners against
   // lp.index. Serial instants and boundary drains deliberately run with LP 0
   // (the coordinator), which the sanitizer lets touch anything.
@@ -666,16 +617,15 @@ void Simulator::RunLpWindow(Ctx& lp, uint64_t& tick) {
     ++slot.stalls;
     Profiler::CountWindowStall(lp.index);
     slot.next = next == nullptr ? kNeverTime : next->time;
-    tls_ctx_ = prev;
     return;
   }
   const uint64_t before = lp.events;
   for (;;) {
     const bool runs = next != nullptr && next->time < wend;
     if (!runs || next->time != lp.now) {
-      // As in RunUntil: the groups opened at lp.now close before the clock
-      // moves or the window ends, and a delivery they ship to this LP may
-      // land below the horizon, so it still runs in this window.
+      // The groups opened at lp.now close before the clock moves or the
+      // window ends, and a delivery they ship to this LP may land below the
+      // horizon, so it still runs in this window.
       if (CloseGroups(lp)) {
         next = Peek(lp);
         continue;
@@ -699,7 +649,6 @@ void Simulator::RunLpWindow(Ctx& lp, uint64_t& tick) {
     note.min_time = Bucket(parity_, lp.index, note.dest).min_time;
   }
   tick = Profiler::RecordSince(ProfCat::kLpExecute, lp.index, tick, lp.events - before);
-  tls_ctx_ = prev;
 }
 
 uint64_t Simulator::DrainInbox(Ctx& lp) {
@@ -941,7 +890,7 @@ uint64_t Simulator::lp_windows_merged(size_t lp) const {
 uint64_t Simulator::lp_events(size_t lp) const {
   NC_CHECK(lp <= num_lps()) << "no logical process " << lp << "; " << num_lps()
                             << " are configured";
-  return ctxs_[lp].events;
+  return streams_[lp]->events;
 }
 
 uint64_t Simulator::event_queue_peak() const {

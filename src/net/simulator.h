@@ -1,10 +1,8 @@
-// Discrete-event simulation engine: serial dispatcher plus an optional
-// conservative-parallel mode (adaptive per-LP horizons, deterministic merge).
+// Discrete-event simulation engine: one dispatch loop, conservative per-LP
+// rounds (adaptive horizons, deterministic merge), on any number of threads.
 //
-// Serial mode (the default): single-threaded, deterministic — events fire in
-// (time, insertion-sequence) order, so two events scheduled for the same
-// instant run in the order they were scheduled. All times are nanoseconds of
-// simulated time.
+// Deterministic: events fire in canonical (time, key) order, so runs are
+// reproducible bit for bit. All times are nanoseconds of simulated time.
 //
 // Hot-path design (the per-event cost bounds every packet-level experiment):
 //   - events hold an InlineFunction, so closures up to kInlineFunctionBytes
@@ -19,46 +17,48 @@
 //     (OpenLane / ScheduleInLane): a FIFO of handles that is in (time, key)
 //     order by construction, so an append or a pop never sifts. Lane
 //     storage is a std::deque, whose blocks come from the allocator;
-//   - every dispatcher reads the next event through one Peek/Take pair that
+//   - the dispatch loop reads the next event through one Peek/Take pair that
 //     merges the heap front with the context's lane fronts in (time, key)
 //     order, so the pop sequence is exactly that of a single heap holding
 //     every pending event;
 //   - a link keeps no event per transmitted packet: its transmit groups
 //     register with the executing context, which closes them when its clock
 //     leaves the instant that opened them (see OpenEgressGroup);
-//   - a per-partition PacketPool recycles the Packet buffers that in-flight
+//   - a per-context PacketPool recycles the Packet buffers that in-flight
 //     closures reference (see net/packet_pool.h);
 //   - packet deliveries are typed events (DeliveryRec in a union with the
 //     closure), which lets the dispatcher coalesce same-instant deliveries
 //     to one node into a burst (VPP-style vector processing). Every delivery
-//     — one packet or many — is handed to Node::HandleBurst.
+//     — one packet or many — is handed to Node::HandleBurst;
+//   - the executing context is one member load whenever a single thread runs
+//     events (see cur()).
 //
 // Burst formation and determinism: a burst is formed ONLY from delivery
-// events that are adjacent in the executing partition's (time, key) order —
-// same timestamp, same destination node, with no other event between them.
+// events that are adjacent in the executing LP's (time, key) order — same
+// timestamp, same destination node, with no other event between them.
 // Newly scheduled events always receive a larger key than everything pending
 // in their stream, so in the sequential schedule those deliveries would have
 // run back-to-back with nothing observable in between; processing them as one
 // burst (with each packet's side effects issued at its own in-order turn, see
 // NetCacheSwitch::ProcessBurst) is therefore output-equivalent.
 //
-// Parallel mode (ConfigurePartitions): nodes are labeled with a logical
-// process (LP) via Node::set_lp; each LP owns its own event heap, packet pool
-// shard and event-sequence counter. Every event carries a canonical 64-bit
-// key = (stream << 48) | local_seq, where stream 0 is the global/legacy
-// stream and stream i is LP i; (time, key) is a total order over all events,
-// and an unpartitioned simulation stamps everything with stream 0, making the
-// serial schedule a special case of the same order.
+// Streams and logical processes. Nodes run in logical processes (LPs), each
+// with its own event heap, lanes, packet pool and event-sequence counter. A
+// new Simulator has one LP, LP 1, which every node runs in; a topology that
+// wants parallelism labels its nodes (Node::set_lp) and calls
+// ConfigurePartitions at wiring time. The global stream holds what belongs to
+// no node: events scheduled by top-level code and ScheduleGlobal
+// (controllers, pollers, invariant checkers). Every event carries a canonical
+// 64-bit key = (stream << 48) | local_seq, where stream 0 is the global
+// stream and stream i is LP i, so (time, key) is a total order over all
+// events.
 //
-// Execution alternates two phases:
+// Execution alternates two phases, whatever the layout and worker count:
 //   - serial instants: whenever the earliest pending event lives in the
-//     global stream (controllers, pollers, invariant checkers), the
-//     coordinator drains every event at exactly that timestamp — from all
-//     heaps, in canonical key order — on one thread. Global events may touch
-//     any node, so they serialize the whole simulation for their instant.
-//     Because the global stream now only bounds windows when a global event
-//     is actually due (plus the t0+G cap below), an idle control plane costs
-//     no fences at all.
+//     global stream, the coordinator drains every event at exactly that
+//     timestamp — from all heaps, in canonical key order — on one thread.
+//     Global events may touch any node, so they serialize the whole
+//     simulation for their instant; an idle control plane costs no fences.
 //   - adaptive rounds (per-LP horizons, null-message-free Chandy–Misra-style
 //     conservative sync): with next_j the earliest pending event time of LP j
 //     (its next event by Peek, or undelivered cross-LP mail addressed to j,
@@ -75,13 +75,14 @@
 //     cross-partition links (Floyd–Warshall at ConfigurePartitions time; the
 //     transitive closure is what makes the bound sound when influence relays
 //     through an idle intermediate LP). Each participating LP executes its
-//     local events with time < horizon_i concurrently; LPs with no work
-//     before their horizon and no pending mail skip the round entirely
-//     instead of spinning through a stalled window. The link's integer-
-//     picosecond serialization grid guarantees any delivery lands at least
-//     propagation + 1 ns after the instant that produced it, so mail always
-//     lands at or beyond the destination's horizon (re-checked fatally at
-//     drain time).
+//     local events with time < horizon_i in one window; LPs with no work
+//     before their horizon and no pending mail skip the round entirely. The
+//     link's integer-picosecond serialization grid guarantees any delivery
+//     lands at least propagation + 1 ns after the instant that produced it,
+//     so mail always lands at or beyond the destination's horizon (re-checked
+//     fatally at drain time). With one LP only tg, t0 + G and the run bound
+//     cap the horizon: a round runs everything before the next global event,
+//     or the next one that could be scheduled.
 //
 // Cross-partition events produced inside a round are buffered in per-
 // (source, destination) outbox buckets, double-buffered by round parity: the
@@ -98,24 +99,20 @@
 // with pending mail always participates in the next round, which is what
 // bounds every bucket's lifetime to one round per side. Each LP runs on a
 // fixed home worker, (lp - 1) mod threads, so its heap and node state stay
-// in one core's cache (a round with a single participant runs inline on the
-// coordinator, without a barrier). Because keys are a total order, a
-// context's pop sequence (heap and lanes merged by Peek) depends only on its
-// content set, so merge order is irrelevant and the parallel run is
-// byte-identical to the same round schedule on one thread
-// (--sim-threads=1).
+// in one core's cache (a round with a single participant, and every round of
+// an unpartitioned simulator, runs inline on the coordinator, without a
+// barrier). Because keys are a total order, a context's pop sequence (heap
+// and lanes merged by Peek) depends only on its content set, so merge order
+// is irrelevant and the parallel run is byte-identical to the same round
+// schedule on one thread (--sim-threads=1).
 //
 // Cross-LP scheduling contract (enforced fatally at drain time): a packet
 // delivery satisfies it by construction; a direct cross-LP ScheduleAtFor
 // must carry at least D(src, dst); ScheduleGlobal from LP context requires a
 // declared global lookahead G (SetGlobalLookahead) and a delay of at least
 // G. Topologies that never ScheduleGlobal from LP context leave G unset and
-// horizons uncapped by the global stream. Workloads that cannot honor the
-// contract run with --sim-threads=0.
-//
-// Degenerate lookahead (a cross-partition link with zero propagation delay)
-// is detected at ConfigurePartitions time and falls back to the serial
-// dispatcher with a logged warning rather than deadlocking or reordering.
+// horizons uncapped by the global stream. A cross-partition link with zero
+// propagation would give a zero horizon, so ConfigurePartitions rejects it.
 //
 // Parallel sweeps still run one Simulator per trial on worker threads
 // (core/sweep.h); a Simulator instance is externally single-threaded — the
@@ -133,6 +130,7 @@
 #include <vector>
 
 #include "common/inline_function.h"
+#include "common/logging.h"
 #include "common/lp_ownership.h"
 #include "common/time_units.h"
 #include "net/node.h"
@@ -191,14 +189,14 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Simulated now of the executing partition (they agree whenever code that
-  // can observe more than one partition runs: serial instants and between
+  // Simulated now of the executing context (all contexts agree whenever code
+  // that can observe more than one of them runs: serial instants and between
   // RunUntil calls).
   SimTime Now() const { return cur()->now; }
 
-  // Schedules `fn` to run `delay` ns from now, in the partition of whatever
-  // context is executing (the global stream outside of any event handler, or
-  // in serial mode).
+  // Schedules `fn` to run `delay` ns from now, in the stream of whatever
+  // context is executing: the running event's LP, or the global stream for
+  // top-level code and global events.
   void Schedule(SimDuration delay, EventFn fn) {
     ScheduleAt(Now() + delay, std::move(fn));
   }
@@ -207,13 +205,13 @@ class Simulator {
   // silently misorder the causal chain, so `at < Now()` is a fatal error.
   void ScheduleAt(SimTime at, EventFn fn);
 
-  // Node-affine scheduling: the event runs in `node`'s partition regardless
-  // of which context schedules it. Self-rescheduling per-node machinery (a
+  // Node-affine scheduling: the event runs in `node`'s LP regardless of
+  // which context schedules it. Self-rescheduling per-node machinery (a
   // workload driver's send loop, a server's service completion) must use
-  // these, or a single serial instant would capture the chain into the
-  // global stream forever. Identical to Schedule/ScheduleAt in serial mode.
-  // Targeting a FOREIGN LP from inside a round must carry at least the
-  // link-path distance D(src, dst) (see the header comment).
+  // these, or a chain started by top-level code would stay in the global
+  // stream and run every step as a serial instant. Targeting a FOREIGN LP
+  // from inside a round must carry at least the link-path distance
+  // D(src, dst) (see the header comment).
   void ScheduleFor(Node* node, SimDuration delay, EventFn fn) {
     ScheduleAtFor(node, Now() + delay, std::move(fn));
   }
@@ -221,18 +219,18 @@ class Simulator {
 
   // Schedules into the global stream explicitly: control-plane work that may
   // touch nodes in several partitions (controller queue pumps, invariant
-  // checkers). Runs in a serial instant when partitioned. Calling this from
-  // LP context requires SetGlobalLookahead, with `delay` at least that
-  // lookahead (enforced fatally at drain time).
+  // checkers). Runs in a serial instant. Calling this from LP context
+  // requires SetGlobalLookahead, with `delay` at least that lookahead
+  // (enforced fatally at drain time).
   void ScheduleGlobal(SimDuration delay, EventFn fn) {
     ScheduleGlobalAt(Now() + delay, std::move(fn));
   }
   void ScheduleGlobalAt(SimTime at, EventFn fn);
 
   // Opens a lane for events that all run `delay` ns after they are
-  // scheduled, in `node`'s partition. Call at wiring time, before
-  // ConfigurePartitions, which moves every lane to its node's partition.
-  // The Simulator owns the lane.
+  // scheduled, in `node`'s LP. Call at wiring time, before
+  // ConfigurePartitions, which moves every lane to its node's LP (until then
+  // every lane lives in LP 1). The Simulator owns the lane.
   Lane* OpenLane(Node* node, SimDuration delay);
 
   // ScheduleFor(lane's node, lane's delay, fn) with the same key, pop order
@@ -243,23 +241,21 @@ class Simulator {
   void ScheduleInLane(Lane* lane, EventFn fn);
 
   // Schedules a packet delivery at absolute time `at` (Link::Transmit's
-  // delivery leg). Runs in the destination node's partition.
+  // delivery leg). Runs in the destination node's LP.
   void ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec);
 
   // Called by Link's constructor so ConfigurePartitions can compute the
   // lookahead from the topology.
   void RegisterLink(Link* link) { links_.push_back(link); }
 
-  // Switches to parallel mode with `num_lps` logical processes executed by
+  // Splits the simulation into `num_lps` logical processes executed by
   // `threads` threads (clamped to num_lps; 1 runs the round schedule on
   // the calling thread, which is what makes --sim-threads=1 vs =N
   // byte-identical). Nodes must already be labeled via Node::set_lp with
-  // values in [1, num_lps]; unlabeled nodes (lp 0) run in the global stream.
-  // Call after the topology is wired, before running. Returns false — and
-  // stays in serial mode — if any cross-partition link has zero propagation
-  // delay (zero lookahead would make windows empty and the engine would
-  // deadlock conservatively; see header comment).
-  bool ConfigurePartitions(size_t num_lps, size_t threads);
+  // values in [1, num_lps]. Wiring time only: nothing may be pending. A
+  // cross-partition link with zero propagation delay is fatal (a zero
+  // horizon would stop every window from making progress).
+  void ConfigurePartitions(size_t num_lps, size_t threads);
 
   // Declares a lower bound on the delay of any LP-context ScheduleGlobal,
   // which becomes the t0+G cap on round horizons. Unset (the default) means
@@ -267,15 +263,15 @@ class Simulator {
   // only by pending global events and per-LP channel clocks, and an
   // LP-context ScheduleGlobal dies at drain time. A topology whose LP->
   // global producers carry a physical control-plane latency (e.g. the cache
-  // controller's control_op_latency) declares that latency here. Call after
-  // ConfigurePartitions, before running; must be > 0.
+  // controller's control_op_latency) declares that latency here, at wiring
+  // time; must be > 0.
   void SetGlobalLookahead(SimDuration g);
-  SimDuration global_lookahead() const { return global_lookahead_; }
 
-  bool partitioned() const { return partitioned_; }
+  // ConfigurePartitions ran; sim_threads() is 0 until then (one LP, run
+  // inline, no workers).
+  bool partitioned() const { return threads_ != 0; }
   size_t num_lps() const { return ctxs_.size() - 1; }
   size_t sim_threads() const { return threads_; }
-  SimDuration lookahead() const { return lookahead_; }
 
   // Opens a transmit group for `link`'s direction `from_end`: returns an
   // empty group buffer and registers the group with the executing context.
@@ -316,10 +312,10 @@ class Simulator {
   // in a coalesced burst still counts as one event here.
   uint64_t events_processed() const;
 
-  // Burst diagnostics: deliveries of two or more packets dispatched outside
-  // serial instants, and the packets they carried. Deliberately NOT wired
-  // into any metrics registry: coalescing must stay invisible in exported
-  // JSON.
+  // Burst diagnostics: deliveries of two or more packets dispatched in LP
+  // windows (serial instants do not coalesce), and the packets they
+  // carried. Deliberately NOT wired into any metrics registry: coalescing
+  // must stay invisible in exported JSON.
   uint64_t bursts_dispatched() const;
   uint64_t burst_packets() const;
 
@@ -340,8 +336,8 @@ class Simulator {
   uint64_t lp_events(size_t lp) const;
   uint64_t windows_run() const { return windows_; }
 
-  // Freelist for Packet payloads referenced by in-flight closures; resolves
-  // to the executing partition's shard in parallel mode.
+  // Freelist for Packet payloads referenced by in-flight closures: the
+  // executing context's shard.
   PacketPool& packet_pool() { return cur()->pool; }
 
  private:
@@ -458,14 +454,13 @@ class Simulator {
     NC_LP_OWNED std::vector<MailNote> mail;
   };
 
-  // One event stream. ctxs_[0] is the global/legacy stream; ctxs_[1..P] are
-  // the logical processes of parallel mode. Each is touched by exactly one
-  // thread at a time: its round worker inside a round, the coordinator
-  // everywhere else (handoffs ordered by the round barrier). Cache-line
-  // aligned, so workers running neighbouring LPs never share a line.
+  // One event stream. ctxs_[0] is the global stream; ctxs_[1..P] are the
+  // logical processes. Each is touched by exactly one thread at a time: its
+  // round worker inside a round, the coordinator everywhere else (handoffs
+  // ordered by the round barrier). Cache-line aligned, so workers running
+  // neighbouring LPs never share a line.
   struct alignas(64) Ctx {
-    NC_LP_SHARED Simulator* sim = nullptr;  // wiring-time, immutable after setup
-    NC_LP_SHARED uint32_t index = 0;
+    NC_LP_SHARED uint32_t index = 0;  // wiring-time, immutable after setup
     NC_LP_OWNED SimTime now = 0;
     NC_LP_OWNED uint64_t next_lseq = 0;
     NC_LP_OWNED uint64_t events = 0;
@@ -508,8 +503,8 @@ class Simulator {
  public:
   // One constant-delay lane: every event in it was scheduled `delay` ns ahead
   // by ScheduleInLane, so appends arrive in (time, key) order and the deque
-  // stays sorted without a sift. It lives in one context at a time — the
-  // global one until ConfigurePartitions moves it to its node's LP.
+  // stays sorted without a sift. It lives in LP 1 until ConfigurePartitions
+  // moves it to its node's LP.
   struct Lane {
     NC_LP_SHARED Node* node = nullptr;  // wiring-time, immutable after setup
     NC_LP_SHARED SimDuration delay = 0;
@@ -527,6 +522,9 @@ class Simulator {
     uint32_t expect = 0;
   };
 
+  // Appends contexts until there are `num_lps` LPs and sizes every per-stream
+  // array for them (construction and ConfigurePartitions).
+  void AddLps(size_t num_lps);
   // Heap primitives operate on c.heap and keep c.heap_extra in sync with the
   // burst records passing through (see Ctx::heap_extra).
   static void PushHeap(Ctx& c, Handle h);
@@ -560,15 +558,24 @@ class Simulator {
     return h == nullptr ? kNeverTime : h->time;
   }
 
-  // The executing context: the global stream unless a round worker or a
-  // serial-instant dispatch installed an LP on this thread. The sim match
-  // guards against stale TLS from another Simulator (parallel sweeps).
+  // The executing context. Whenever one thread runs events — top-level code
+  // (the global stream), serial instants, inline rounds — it is exec_, one
+  // member load. A multi-threaded round clears exec_ for its duration, and
+  // each thread then reads the LP its window installed in tls_ctx_.
   Ctx* cur() const {
-    if (!partitioned_) {
-      return legacy_;
-    }
-    Ctx* c = tls_ctx_;
-    return (c != nullptr && c->sim == this) ? c : legacy_;
+    Ctx* c = exec_;
+    return c != nullptr ? c : tls_ctx_;
+  }
+
+  // The context running `node`'s events: its LP. Nodes are labeled before
+  // ConfigurePartitions, which checks the links' endpoints; this catches a
+  // label beyond the configured LPs at its first schedule.
+  Ctx& LpOf(const Node* node) {
+    const uint32_t lp = node->lp();
+    NC_CHECK(lp != 0 && lp < stride_)
+        << node->name() << " labeled with LP " << lp << " but only " << num_lps()
+        << " logical processes are configured";
+    return *streams_[lp];
   }
 
   uint64_t NextKey(Ctx& c) {
@@ -585,6 +592,8 @@ class Simulator {
   // EventFn or a DeliveryRec.
   template <typename Payload>
   void Route(Ctx& from, Ctx& to, SimTime at, uint64_t key, Payload&& payload);
+  // The one dispatch loop: serial instants of the global stream and LP
+  // rounds, until nothing is left at or below `until`.
   void RunWindowed(SimTime until);
   void RunSerialInstant(SimTime t);
   void FoldSummaries();
@@ -618,7 +627,10 @@ class Simulator {
     }
   }
 
-  NC_LP_SHARED bool partitioned_ = false;
+  // The executing context while one thread runs events; nullptr during a
+  // multi-threaded round (see cur()). Written by the coordinator outside the
+  // parallel region, so the round barrier orders it for the workers.
+  NC_LP_FENCED Ctx* exec_ = nullptr;
   // True only between a round's kick and its barrier; cross-partition
   // schedules are staged into outbox buckets instead of pushed while set.
   // Written by the coordinator outside the parallel region, so the barrier's
@@ -627,23 +639,23 @@ class Simulator {
   // Round parity selecting the outbox side producers write (flipped by the
   // coordinator at each boundary; the other side is being drained).
   NC_LP_FENCED uint32_t parity_ = 0;
-  NC_LP_SHARED size_t threads_ = 1;
-  NC_LP_SHARED SimDuration lookahead_ = 0;
+  NC_LP_SHARED size_t threads_ = 0;  // 0 until ConfigurePartitions
+  NC_LP_SHARED SimDuration lookahead_ = kNeverTime;  // no cross-partition link yet
   NC_LP_SHARED SimDuration global_lookahead_ = 0;  // 0 = no t0+G horizon cap
   NC_LP_FENCED uint64_t windows_ = 0;     // coordinator-only, between rounds
   NC_LP_SHARED std::deque<Ctx> ctxs_;  // deque: Ctx owns a PacketPool and must never move
-  NC_LP_SHARED Ctx* legacy_ = nullptr;  // &ctxs_[0]
+  NC_LP_SHARED std::vector<Ctx*> streams_;  // &ctxs_[i], one load per lookup
   NC_LP_SHARED std::vector<Link*> links_;  // wiring-time registry
   NC_LP_SHARED std::deque<Lane> lanes_;   // wiring-time; deque: lanes never move
 
-  // Wiring-time layout of parallel mode, all indexed by stream (P+1 of
-  // them; stride_ is that count). The outbox holds both parity sides of
+  // Wiring-time layout, all indexed by stream (P+1 of them; stride_ is that
+  // count). The outbox holds both parity sides of
   // every (source, destination) bucket; a side belongs to whichever thread
   // runs its producer (this round's side) or its destination (the other),
   // see OutBucket. Each LP has one summary slot, written by its window, and
   // one home worker slot, (lp - 1) mod threads_ (the coordinator is slot 0).
   // Entry 0, the global stream, runs no window: its counters stay 0.
-  NC_LP_SHARED size_t stride_ = 1;
+  NC_LP_SHARED size_t stride_ = 0;
   NC_LP_SHARED std::vector<OutBucket> outbox_;  // 2 * (P+1)^2: [side][src][dest]
   NC_LP_SHARED std::vector<LpSummary> summaries_;
   NC_LP_SHARED std::vector<uint32_t> home_;
@@ -684,7 +696,8 @@ class Simulator {
   NC_LP_SHARED std::deque<BarrierNode> barrier_;   // tree levels, leaves first
   NC_LP_SHARED std::vector<size_t> barrier_level_; // start index of each level
 
-  static thread_local Ctx* tls_ctx_;
+  // The LP a thread's window runs during a multi-threaded round.
+  static inline thread_local Ctx* tls_ctx_ = nullptr;
 };
 
 }  // namespace netcache

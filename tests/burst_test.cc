@@ -625,9 +625,8 @@ struct EgressLeg {
   uint64_t bursts_dispatched = 0;
 };
 
-// Transmits `packets` back-to-back at t=10. A nonzero `fence` partitions the
-// simulation (both ends on LP 1) and schedules a global event at that
-// instant, which turns it into a serial instant.
+// Transmits `packets` back-to-back at t=10. A nonzero `fence` schedules a
+// global event at that instant, which turns it into a serial instant.
 EgressLeg RunEgressLeg(uint32_t packets, SimTime fence = 0) {
   Simulator sim;
   NullTx tx;
@@ -635,9 +634,6 @@ EgressLeg RunEgressLeg(uint32_t packets, SimTime fence = 0) {
   Link link(&sim, LinkConfig{});
   link.Connect(&tx, 0, &rx, 0);
   if (fence != 0) {
-    tx.set_lp(1);
-    rx.set_lp(1);
-    EXPECT_TRUE(sim.ConfigurePartitions(1, 1));
     sim.ScheduleGlobalAt(fence, [] {});
   }
   sim.ScheduleAtFor(&tx, 10, [&] {
@@ -681,20 +677,19 @@ TEST(EgressCoalescingTest, SerialInstantDeliveryIsNotCountedAsBurst) {
   EXPECT_EQ(fenced.events, plain.events + 1);
 }
 
-// One packet from a global event at t=10 (a serial instant when
-// partitioned) and one from tx's own event at t=1000, on the same link
-// direction: each instant's group closes at its end, so the two deliver
-// separately, at their own serialization ends.
-std::vector<SimTime> RunSerialInstantTransmit(bool partitioned) {
+// One packet from a global event at t=10 (a serial instant) and one from
+// tx's own event at t=1000 (LP 1's window), on the same link direction: each
+// instant's group closes at its end, so the two deliver separately, at their
+// own serialization ends. `threads` 0 leaves the simulator unpartitioned; 1
+// configures the same single LP explicitly.
+std::vector<SimTime> RunSerialInstantTransmit(size_t threads) {
   Simulator sim;
   NullTx tx;
   RecordingNode rx(&sim);
   Link link(&sim, LinkConfig{});
   link.Connect(&tx, 0, &rx, 0);
-  if (partitioned) {
-    tx.set_lp(1);
-    rx.set_lp(1);
-    EXPECT_TRUE(sim.ConfigurePartitions(1, 1));
+  if (threads > 0) {
+    sim.ConfigurePartitions(1, threads);
   }
   sim.ScheduleGlobalAt(10, [&] { link.Transmit(0, MakeGet(kClient, kServerA, K(0), 0)); });
   sim.ScheduleAtFor(&tx, 1000, [&] { link.Transmit(0, MakeGet(kClient, kServerA, K(1), 1)); });
@@ -705,10 +700,10 @@ std::vector<SimTime> RunSerialInstantTransmit(bool partitioned) {
 }
 
 TEST(EgressCoalescingTest, SerialInstantTransmitClosesItsGroup) {
-  std::vector<SimTime> serial = RunSerialInstantTransmit(false);
-  ASSERT_EQ(serial.size(), 2u);
-  EXPECT_EQ(serial[1] - serial[0], 990u);
-  EXPECT_EQ(RunSerialInstantTransmit(true), serial);
+  std::vector<SimTime> inline_lp = RunSerialInstantTransmit(0);
+  ASSERT_EQ(inline_lp.size(), 2u);
+  EXPECT_EQ(inline_lp[1] - inline_lp[0], 990u);
+  EXPECT_EQ(RunSerialInstantTransmit(1), inline_lp);
 }
 
 TEST(EgressCoalescingTest, DistinctInstantsFormDistinctGroups) {

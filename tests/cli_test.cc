@@ -1,5 +1,7 @@
 // Tests for the command-line argument parser used by tools/netcache_sim.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/cli.h"
@@ -76,6 +78,37 @@ TEST(ArgParserTest, BadDoubleRecordsError) {
   ArgParser args = Parse({"prog", "--zipf=xx"});
   EXPECT_DOUBLE_EQ(args.GetDouble("zipf", 1.5), 1.5);
   EXPECT_FALSE(args.ok());
+}
+
+TEST(ArgParserTest, DoubleOutsideRangeRecordsError) {
+  // NaN and the infinities are never a value; a rate or a duration must be
+  // positive; a ratio must lie in [0, 1]. Each error names the flag and the
+  // getter returns the default.
+  struct Case {
+    const char* arg;
+    double min;
+    double max;
+    const char* want;
+  };
+  constexpr double kLowest = std::numeric_limits<double>::lowest();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (const Case& c : {Case{"--x=nan", kLowest, kMax, "--x must be a finite number"},
+                        Case{"--x=inf", kLowest, kMax, "--x must be a finite number"},
+                        Case{"--x=-inf", ArgParser::kPositive, kMax, "--x must be a finite number"},
+                        Case{"--x=0", ArgParser::kPositive, kMax, "--x must be positive"},
+                        Case{"--x=-5", ArgParser::kPositive, kMax, "--x must be positive"},
+                        Case{"--x=2", 0.0, 1.0, "--x must lie in [0, 1]"},
+                        Case{"--x=-0.5", 0.0, 1.0, "--x must lie in [0, 1]"}}) {
+    ArgParser args = Parse({"prog", c.arg});
+    EXPECT_DOUBLE_EQ(args.GetDouble("x", 0.25, c.min, c.max), 0.25) << c.arg;
+    ASSERT_EQ(args.errors().size(), 1u) << c.arg;
+    EXPECT_NE(args.errors()[0].find(c.want), std::string::npos) << args.errors()[0];
+  }
+  ArgParser ok = Parse({"prog", "--rate=1e-9", "--ratio=1", "--zero=0"});
+  EXPECT_DOUBLE_EQ(ok.GetDouble("rate", 5, ArgParser::kPositive), 1e-9);
+  EXPECT_DOUBLE_EQ(ok.GetDouble("ratio", 5, 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(ok.GetDouble("zero", 5, 0.0, 1.0), 0.0);
+  EXPECT_TRUE(ok.ok());
 }
 
 TEST(ArgParserTest, ScientificNotationDouble) {

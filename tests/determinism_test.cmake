@@ -12,9 +12,9 @@
 # 3. Runs the rack under the partitioned schedule with --sim-threads=1, =4
 #    and =8 and asserts the metrics JSON is byte-identical across all three —
 #    the parallel-DES contract that worker count never changes results (the
-#    windowed schedule itself is allowed to differ from the legacy serial
-#    dispatcher only in event tie-breaking, so the reference here is the
-#    1-thread partitioned run, not determinism_a.json). All runs profile
+#    partition's window schedule differs from the one-LP layout of runs a
+#    and b in its sim.* counters and event tie-breaking, so the reference
+#    here is the 1-thread partitioned run, not determinism_a.json). All runs profile
 #    (--profile-out), so multi-threaded span recording is exercised under
 #    the byte-identity contract too. The =1 and =8 runs also write
 #    --trace-out and the packet-lifecycle trace JSONL must byte-match: the

@@ -61,7 +61,7 @@ class ScopedChecks {
 
 TEST(LpCheckTest, CrossLpSendAbortsWithAttribution) {
   TwoLpRig rig;
-  ASSERT_TRUE(rig.sim.ConfigurePartitions(2, 1));
+  rig.sim.ConfigurePartitions(2, 1);
   ScopedChecks checks;
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 7);
   // Planted violation: an event scheduled node-affine on `a` (runs inside
@@ -77,7 +77,7 @@ TEST(LpCheckTest, CrossLpSendAbortsWithAttribution) {
 
 TEST(LpCheckTest, LegalPartitionedTrafficRunsClean) {
   TwoLpRig rig;
-  ASSERT_TRUE(rig.sim.ConfigurePartitions(2, 1));
+  rig.sim.ConfigurePartitions(2, 1);
   ScopedChecks checks;
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
   for (int i = 0; i < 8; ++i) {
@@ -93,7 +93,7 @@ TEST(LpCheckTest, LegalPartitionedTrafficRunsClean) {
 
 TEST(LpCheckTest, CoordinatorContextMayTouchAnyNode) {
   TwoLpRig rig;
-  ASSERT_TRUE(rig.sim.ConfigurePartitions(2, 1));
+  rig.sim.ConfigurePartitions(2, 1);
   ScopedChecks checks;
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 2);
   // Global-stream events run as serial instants with CurrentLp() == 0 — the
@@ -120,18 +120,29 @@ TEST(LpCheckTest, ChecksAreOptIn) {
   EXPECT_EQ(lp::CurrentLp(), 1u);
 }
 
-TEST(LpCheckTest, SerialModeNeverTrips) {
-  // No ConfigurePartitions: everything executes with CurrentLp() == 0, so
-  // checks-on serial runs (the snake harness, unit tests) are unaffected.
-  TwoLpRig rig;
+TEST(LpCheckTest, UnpartitionedRunIsCheckedAsLpOne) {
+  // No ConfigurePartitions: both nodes run in LP 1, so a node event executes
+  // in LP 1's window with every touch checked, and a top-level event in a
+  // serial instant (LP 0). Both legal sends run clean.
+  Simulator sim;
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  Link link(&sim, TwoLpRig::MakeCfg());
+  link.Connect(&a, 0, &b, 0);
   ScopedChecks checks;
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 4);
-  rig.sim.ScheduleAt(100, [&rig, pkt] {
-    Packet p = pkt;
-    rig.a.Send(0, p);
+  std::vector<uint32_t> executing;
+  sim.ScheduleAtFor(&a, 100, [&a, &executing, pkt] {
+    executing.push_back(lp::CurrentLp());
+    a.Send(0, pkt);
   });
-  rig.sim.RunAll();
-  EXPECT_EQ(rig.b.received.size(), 1u);
+  sim.ScheduleAt(200, [&a, &executing, pkt] {
+    executing.push_back(lp::CurrentLp());
+    a.Send(0, pkt);
+  });
+  sim.RunAll();
+  EXPECT_EQ(executing, (std::vector<uint32_t>{1, 0}));
+  EXPECT_EQ(b.received.size(), 2u);
 }
 
 #else  // !NETCACHE_LP_CHECKS

@@ -89,6 +89,19 @@ class SinkNode : public Node {
   std::vector<std::pair<Packet, uint32_t>> received;
 };
 
+// A node that logs every arrival with its instant and port.
+class ArrivalLogNode : public Node {
+ public:
+  ArrivalLogNode(std::string name, Simulator* sim) : Node(std::move(name)), sim_(sim) {}
+  void HandlePacket(const Packet& /*pkt*/, uint32_t in_port) override {
+    log.emplace_back(sim_->Now(), in_port);
+  }
+  std::vector<std::pair<SimTime, uint32_t>> log;
+
+ private:
+  Simulator* sim_;
+};
+
 // What a seeded event mix leaves observable: the firing order, the pending
 // count at each checkpoint, the queue peak and the final clock.
 struct MixRun {
@@ -103,10 +116,11 @@ struct MixRun {
 // delay (a same-instant tie with that lane), a ScheduleAt(Now()) tie, or a
 // random delay. With `use_lanes` false the lane children go through
 // ScheduleFor with the lane's delay instead, which is the heap-only twin.
-// `partitioned` puts the lanes' nodes in LPs 1 and 2 (one worker, so the
-// shared log and RNG stay single-threaded) behind a 70 ns link, which every
-// cross-LP child's delay covers; the top-level roots stay in the global
-// stream, so serial instants and rounds interleave.
+// Unpartitioned, both lanes' nodes run in LP 1; `partitioned` puts them in
+// LPs 1 and 2 (one worker, so the shared log and RNG stay single-threaded)
+// behind a 70 ns link, which every cross-LP child's delay covers. The
+// top-level roots stay in the global stream either way, so serial instants
+// and rounds interleave.
 MixRun RunLaneMix(bool use_lanes, uint64_t seed, bool partitioned) {
   constexpr SimDuration kDelayX = 70;
   constexpr SimDuration kDelayY = 250;
@@ -122,7 +136,7 @@ MixRun RunLaneMix(bool use_lanes, uint64_t seed, bool partitioned) {
   if (partitioned) {
     x.set_lp(1);
     y.set_lp(2);
-    EXPECT_TRUE(sim.ConfigurePartitions(2, 1));
+    sim.ConfigurePartitions(2, 1);
   }
   Rng rng(seed);
   MixRun run;
@@ -175,11 +189,11 @@ TEST(SimulatorTest, LaneEventsFireInScheduleForOrder) {
   // Lanes only change where events wait, never when they fire: a seeded mix
   // of lane, heap and same-instant events must run in exactly the order of
   // its all-ScheduleFor twin, with the same pending counts and queue peak,
-  // on the serial dispatcher and in LP rounds alike.
+  // with one LP and with two.
   for (bool partitioned : {false, true}) {
     for (uint64_t seed : {1, 2, 3, 4}) {
       SCOPED_TRACE(::testing::Message()
-                   << (partitioned ? "partitioned" : "serial") << " seed " << seed);
+                   << (partitioned ? "two LPs" : "one LP") << " seed " << seed);
       MixRun lanes = RunLaneMix(true, seed, partitioned);
       MixRun twin = RunLaneMix(false, seed, partitioned);
       ASSERT_GT(twin.order.size(), 100u);
@@ -383,11 +397,52 @@ TEST(NodeTest, SendOnUnwiredPortIsSafeNoop) {
   EXPECT_EQ(a.received.size(), 0u);
 }
 
-TEST(ParallelSimTest, ZeroPropagationLinkForcesSerialFallback) {
+// A bare Simulator with two unlabelled senders linked to one receiver: every
+// node runs in LP 1. Both senders transmit at t=100 from their own events,
+// so their deliveries reach `r` at one instant from two links; a top-level
+// event at t=50 records the executing LP too.
+TEST(SimulatorTest, UnpartitionedNodesRunInLpOneWindows) {
+  Simulator sim;
+  SinkNode a("a");
+  SinkNode c("c");
+  ArrivalLogNode r("r", &sim);
+  LinkConfig cfg;
+  cfg.bandwidth_gbps = 8.0;
+  cfg.propagation = 400;
+  Link ar(&sim, cfg);
+  ar.Connect(&a, 0, &r, 0);
+  Link cr(&sim, cfg);
+  cr.Connect(&c, 0, &r, 1);
+  EXPECT_EQ(sim.num_lps(), 1u);
+  EXPECT_FALSE(sim.partitioned());
+  EXPECT_EQ(a.lp(), 1u);
+  std::vector<uint32_t> executing;
+  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
+  for (SinkNode* s : {&a, &c}) {
+    sim.ScheduleAtFor(s, 100, [s, pkt, &executing] {
+      executing.push_back(lp::CurrentLp());
+      s->Send(0, pkt);
+    });
+  }
+  sim.ScheduleAt(50, [&executing] { executing.push_back(lp::CurrentLp()); });
+  sim.RunAll();
+
+  // The top-level event ran in a serial instant (the coordinator, LP 0), the
+  // senders' events in LP 1's windows.
+  EXPECT_EQ(executing, (std::vector<uint32_t>{0, 1, 1}));
+  EXPECT_EQ(sim.lp_events(0), 1u);
+  EXPECT_EQ(sim.lp_events(1), 4u);  // two sends, two deliveries
+  EXPECT_GT(sim.windows_run(), 0u);
+  // The two same-instant deliveries to r coalesced into one burst.
+  const SimTime arrival = 100 + pkt.WireSize() + 400;
+  EXPECT_EQ(r.log, (std::vector<std::pair<SimTime, uint32_t>>{{arrival, 0}, {arrival, 1}}));
+  EXPECT_EQ(sim.bursts_dispatched(), 1u);
+  EXPECT_EQ(sim.burst_packets(), 2u);
+}
+
+TEST(ParallelSimDeathTest, ZeroPropagationCrossLpLinkIsFatal) {
   // A cross-partition link with zero propagation gives a zero lookahead: no
-  // window can make progress, so ConfigurePartitions must refuse (with a
-  // logged warning) and leave the simulator on the serial dispatcher rather
-  // than deadlock.
+  // window could make progress, so ConfigurePartitions dies naming the link.
   Simulator sim;
   SinkNode a("a");
   SinkNode b("b");
@@ -398,21 +453,22 @@ TEST(ParallelSimTest, ZeroPropagationLinkForcesSerialFallback) {
   cfg.propagation = 0;  // zero lookahead across LPs 1 and 2
   Link link(&sim, cfg);
   link.Connect(&a, 0, &b, 0);
-
-  EXPECT_FALSE(sim.ConfigurePartitions(2, 2));
-  EXPECT_FALSE(sim.partitioned());
-
-  // Traffic still flows, in order, on the serial path.
-  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
-  a.Send(0, pkt);
-  a.Send(0, pkt);
-  sim.RunAll();
-  EXPECT_EQ(b.received.size(), 2u);
-  EXPECT_EQ(link.stats(0).delivered, 2u);
+  EXPECT_DEATH(sim.ConfigurePartitions(2, 2), "link a -- b joins LPs 1 and 2 with zero propagation");
 }
 
-TEST(ParallelSimTest, PartitionedRunMatchesSerialSchedule) {
-  // The same two-node ping stream executed serially and under a 2-LP
+TEST(ParallelSimDeathTest, ConfigurePartitionsWithPendingEventsIsFatal) {
+  // Partitioning is wiring-time: an event already queued would belong to
+  // the one-LP layout being replaced.
+  Simulator sim;
+  SinkNode a("a");
+  int fired = 0;
+  sim.ScheduleFor(&a, 100, [&fired] { ++fired; });
+  EXPECT_DEATH(sim.ConfigurePartitions(2, 1), "ConfigurePartitions with events pending");
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(ParallelSimTest, TwoLpRunMatchesOneLpSchedule) {
+  // The same two-node ping stream executed in one LP and under a 2-LP
   // partitioned schedule must deliver the same packets at the same times.
   auto run = [](size_t sim_threads) {
     Simulator sim;
@@ -426,7 +482,7 @@ TEST(ParallelSimTest, PartitionedRunMatchesSerialSchedule) {
     if (sim_threads > 0) {
       a.set_lp(1);
       b.set_lp(2);
-      EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+      sim.ConfigurePartitions(2, sim_threads);
     }
     Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
     for (int i = 0; i < 8; ++i) {
@@ -438,12 +494,12 @@ TEST(ParallelSimTest, PartitionedRunMatchesSerialSchedule) {
     sim.RunAll();
     return std::pair<SimTime, size_t>(sim.Now(), b.received.size());
   };
-  auto serial = run(0);
+  auto one_lp = run(0);
   auto par1 = run(1);
   auto par4 = run(4);
   EXPECT_EQ(par1, par4);
-  EXPECT_EQ(serial.second, par1.second);
-  EXPECT_EQ(serial.first, par1.first);
+  EXPECT_EQ(one_lp.second, par1.second);
+  EXPECT_EQ(one_lp.first, par1.first);
 }
 
 TEST(ParallelSimTest, IdleLpSkipsRoundsAndBusyLpsMergeWindows) {
@@ -468,7 +524,7 @@ TEST(ParallelSimTest, IdleLpSkipsRoundsAndBusyLpsMergeWindows) {
   ab.Connect(&a, 0, &b, 0);
   Link bc(&sim, cfg);
   bc.Connect(&b, 1, &c, 0);
-  ASSERT_TRUE(sim.ConfigurePartitions(3, 2));
+  sim.ConfigurePartitions(3, 2);
 
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
   constexpr int kPackets = 50;
@@ -510,9 +566,7 @@ struct LaneFiring {
 // link distance), opened before ConfigurePartitions. Each node's own events
 // fill its lane. Three appends join b's lane for t=600 out of stream order:
 // two from b's own events at t=100, then one from a's LP inside the same
-// round, then one from the top level after RunUntil(100). A third lane on b
-// takes one event before ConfigurePartitions, which, like a ScheduleFor
-// made then, stays in the global stream.
+// round, then one from the top level after RunUntil(100).
 std::vector<std::vector<LaneFiring>> RunPartitionedLanes(size_t sim_threads) {
   Simulator sim;
   SinkNode a("a");
@@ -525,7 +579,6 @@ std::vector<std::vector<LaneFiring>> RunPartitionedLanes(size_t sim_threads) {
   link.Connect(&a, 0, &b, 0);
   Simulator::Lane* lane_a = sim.OpenLane(&a, 200);
   Simulator::Lane* lane_b = sim.OpenLane(&b, 500);
-  Simulator::Lane* lane_c = sim.OpenLane(&b, 777);
 
   // One log per LP: at sim_threads 2 the LPs run on different threads.
   std::vector<std::vector<LaneFiring>> fired(3);
@@ -534,8 +587,7 @@ std::vector<std::vector<LaneFiring>> RunPartitionedLanes(size_t sim_threads) {
       fired[lp].push_back(LaneFiring{id, sim.Now(), lp::CurrentLp()});
     });
   };
-  arm(lane_c, 2, 70);
-  EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+  sim.ConfigurePartitions(2, sim_threads);
   for (int i = 0; i < 4; ++i) {
     SimTime at = static_cast<SimTime>(i) * 50;
     sim.ScheduleAtFor(&a, at, [&arm, lane_a, i] { arm(lane_a, 1, i); });
@@ -558,30 +610,15 @@ TEST(ParallelSimTest, LaneRunsInItsNodesLpInKeyOrder) {
   EXPECT_EQ(one[1], (std::vector<LaneFiring>{
                         {0, 200, 1}, {1, 250, 1}, {2, 300, 1}, {3, 350, 1}}));
   // At t=600 the stream-0 top-level append fires first, then a's stream-1
-  // one, then b's own two: (time, key) order, not append order. The
-  // pre-partition event runs in a serial instant (LP 0).
+  // one, then b's own two: (time, key) order, not append order.
   EXPECT_EQ(one[2], (std::vector<LaneFiring>{{10, 500, 2},
                                              {11, 550, 2},
                                              {30, 600, 2},
                                              {40, 600, 2},
                                              {12, 600, 2},
                                              {20, 600, 2},
-                                             {13, 650, 2},
-                                             {70, 777, 0}}));
+                                             {13, 650, 2}}));
 }
-
-// A node that logs every arrival with its instant and port.
-class ArrivalLogNode : public Node {
- public:
-  ArrivalLogNode(std::string name, Simulator* sim) : Node(std::move(name)), sim_(sim) {}
-  void HandlePacket(const Packet& /*pkt*/, uint32_t in_port) override {
-    log.emplace_back(sim_->Now(), in_port);
-  }
-  std::vector<std::pair<SimTime, uint32_t>> log;
-
- private:
-  Simulator* sim_;
-};
 
 // What a round schedule leaves observable, for comparing worker counts.
 struct ScheduleRun {
@@ -621,7 +658,7 @@ ScheduleRun RunFanIn(size_t sim_threads) {
   far.propagation = 1000;
   Link sq(&sim, far);
   sq.Connect(&s1, 1, &q, 0);
-  EXPECT_TRUE(sim.ConfigurePartitions(5, sim_threads));
+  sim.ConfigurePartitions(5, sim_threads);
 
   ScheduleRun run;
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
@@ -698,7 +735,7 @@ CachedNextRun RunEarlierThanPublished(size_t sim_threads) {
   cfg.propagation = 400;
   Link link(&sim, cfg);
   link.Connect(&a, 0, &b, 0);
-  EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+  sim.ConfigurePartitions(2, sim_threads);
 
   CachedNextRun run;
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
@@ -746,8 +783,8 @@ TEST(ParallelSimTest, EarlierEventThanPublishedNextStillFiresOnTime) {
 // so LP 1's horizon lies far beyond the packet's arrival. tx sends one
 // packet at 10 ns, its window's last event: the group closes at the window's
 // end, and its delivery lands below the horizon in tx's own LP, so the same
-// window must still run it, at its instant. `sim_threads` 0 is the serial
-// dispatcher.
+// window must still run it, at its instant. `sim_threads` 0 leaves all three
+// nodes in one LP.
 std::vector<std::pair<SimTime, uint32_t>> RunSameLpGroup(size_t sim_threads) {
   Simulator sim;
   SinkNode tx("tx");
@@ -766,7 +803,7 @@ std::vector<std::pair<SimTime, uint32_t>> RunSameLpGroup(size_t sim_threads) {
     tx.set_lp(1);
     rx.set_lp(1);
     far.set_lp(2);
-    EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+    sim.ConfigurePartitions(2, sim_threads);
   }
   Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
   sim.ScheduleAtFor(&tx, 10, [&tx, pkt] { tx.Send(0, pkt); });
@@ -785,8 +822,8 @@ TEST(ParallelSimTest, SameLpGroupDeliversInsideTheWindow) {
 
 TEST(ParallelSimTest, TopLevelSendDeliversOnTime) {
   // A transmit made by top-level code between runs opens its group in the
-  // global context; the next partitioned run must still ship it, at the
-  // instant the serial dispatcher does.
+  // global context; the next run must still ship it, at the same instant
+  // with one LP and with two.
   auto run = [](size_t sim_threads) {
     Simulator sim;
     SinkNode a("a");
@@ -799,7 +836,7 @@ TEST(ParallelSimTest, TopLevelSendDeliversOnTime) {
     if (sim_threads > 0) {
       a.set_lp(1);
       b.set_lp(2);
-      EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
+      sim.ConfigurePartitions(2, sim_threads);
     }
     sim.RunUntil(100);
     a.Send(0, MakeGet(1, 2, Key::FromUint64(1), 1));
@@ -823,9 +860,9 @@ TEST(ParallelSimDeathTest, PerLpCountersRejectUnknownLp) {
   cfg.propagation = 400;
   Link link(&sim, cfg);
   link.Connect(&a, 0, &b, 0);
-  EXPECT_EQ(sim.lp_window_stalls(0), 0u);  // serial mode: only the global stream
-  EXPECT_DEATH(sim.lp_window_stalls(1), "no logical process 1");
-  ASSERT_TRUE(sim.ConfigurePartitions(2, 1));
+  EXPECT_EQ(sim.lp_window_stalls(1), 0u);  // unpartitioned: LP 1 only
+  EXPECT_DEATH(sim.lp_window_stalls(2), "no logical process 2");
+  sim.ConfigurePartitions(2, 1);
   EXPECT_EQ(sim.lp_windows_merged(2), 0u);
   EXPECT_DEATH(sim.lp_window_stalls(3), "no logical process 3");
   EXPECT_DEATH(sim.lp_windows_merged(3), "no logical process 3");

@@ -7,8 +7,8 @@
 # --validate mode (structural self-consistency, what CI gates on) and once as
 # a full report with --min-attributed, proving the four DES buckets account
 # for the workers' wall-clock on a real profile, not just on fixtures. Both
-# that report and one of a serial profile must end in a limiting-layer
-# verdict.
+# that report and one of a one-LP profile (--sim-threads=0) must end in a
+# limiting-layer verdict.
 
 execute_process(
   COMMAND ${SIM} rack --servers=4 --offered=120000 --duration=0.1 --seed=7
@@ -63,8 +63,9 @@ if(NOT out MATCHES "Limiting layer: (lp_execute|barrier_wait|merge|serial_fence|
   message(FATAL_ERROR "report missing the DES limiting-layer verdict:\n${out}")
 endif()
 
-# A serial profile records no DES bucket; its verdict names the largest
-# nested switch/server/egress stage instead.
+# A one-LP profile runs on one DES lane, where execute holds nearly all the
+# time; its verdict names the largest nested switch/server/egress stage
+# instead.
 execute_process(
   COMMAND ${SIM} rack --servers=4 --offered=120000 --duration=0.05 --seed=7
           --profile-out=${WORK_DIR}/profile_smoke_serial.json

@@ -1,10 +1,11 @@
 # The rack's simulated outcome, pinned. Invoked by CTest as:
 #   cmake -DSIM=<netcache_sim> -DWORK_DIR=<dir> -DGOLDEN=<json> -P rack_outcome_test.cmake
 #
-# Runs netcache_sim rack on one small shape four ways: the serial
-# dispatcher, the partitioned schedule on 4 workers, skewed writes (the
-# coherence path, with servers shedding) and uniform keys (almost every
-# query misses the switch and is served by a store). From each metrics
+# Runs netcache_sim rack on one small shape four ways: every node in one
+# LP (--sim-threads=0, the run named "serial"), the partitioned schedule on
+# 4 workers, skewed writes (the coherence path, with servers shedding) and
+# uniform keys (almost every query misses the switch and is served by a
+# store). From each metrics
 # JSON it keeps sent, completed, sim_time_ns and every `metrics` and
 # `timeseries` entry whose name does not start with `sim.`: every counter
 # and gauge value, histogram summary and time-series bin of a simulated

@@ -473,28 +473,38 @@ TEST(WarmedStoreOpTest, EveryPooledPacketReturnsToThePool) {
   for (uint64_t id = 0; id < 8; ++id) {
     rig.server->store().Put(K(id), Value::Filler(id, 64));
   }
-  // 24 ops at once: one in service, nine queued, the rest dropped.
-  for (uint32_t seq = 0; seq < 24; ++seq) {
-    const Key key = K(seq % 10);
-    switch (seq % 3) {
-      case 0:
-        Inject2(rig.tor, MakeGet(kClient, kServer, key, seq));
-        break;
-      case 1:
-        Inject2(rig.tor, MakePut(kClient, kServer, key, Value::Filler(seq, 32), seq));
-        break;
-      default:
-        Inject2(rig.tor, MakeDelete(kClient, kServer, key, seq));
-        break;
+  // 24 ops at once: one in service, nine queued, the rest dropped. They are
+  // sent from the stub's own event, so every packet is taken from and given
+  // back to the pool of LP 1, which both nodes run in.
+  rig.sim.ScheduleFor(&rig.tor, 0, [&rig] {
+    for (uint32_t seq = 0; seq < 24; ++seq) {
+      const Key key = K(seq % 10);
+      switch (seq % 3) {
+        case 0:
+          Inject2(rig.tor, MakeGet(kClient, kServer, key, seq));
+          break;
+        case 1:
+          Inject2(rig.tor, MakePut(kClient, kServer, key, Value::Filler(seq, 32), seq));
+          break;
+        default:
+          Inject2(rig.tor, MakeDelete(kClient, kServer, key, seq));
+          break;
+      }
     }
-  }
+  });
   rig.sim.RunAll();
   EXPECT_EQ(rig.server->stats().enqueued, 10u);
   EXPECT_EQ(rig.server->stats().dropped, 14u);
   EXPECT_EQ(rig.tor.received.size(), 10u);
-  PacketPool& pool = rig.sim.packet_pool();
-  EXPECT_GT(pool.allocated(), 0u);
-  EXPECT_EQ(pool.free_count(), pool.allocated());
+  bool checked = false;
+  rig.sim.ScheduleFor(&rig.tor, 0, [&rig, &checked] {
+    PacketPool& pool = rig.sim.packet_pool();
+    EXPECT_GT(pool.allocated(), 0u);
+    EXPECT_EQ(pool.free_count(), pool.allocated());
+    checked = true;
+  });
+  rig.sim.RunAll();
+  EXPECT_TRUE(checked);
 }
 
 // ------------------------------------------------- burst delivery

@@ -61,8 +61,9 @@ int Usage(const char* program) {
                "           --write-ratio --skewed-writes --no-cache --cores --seed\n"
                "           --sim-threads=N (parallel DES: one logical process per\n"
                "                            server plus one for switch+clients, run\n"
-               "                            on N threads; 0=serial dispatcher;\n"
-               "                            byte-identical for every N >= 1)\n"
+               "                            on N threads; 0=every node in one LP,\n"
+               "                            run inline; byte-identical for every\n"
+               "                            N >= 1)\n"
                "           --trace=FILE (replay a G/P/D trace instead of synthetic load)\n"
                "sweep:     --zipf=A[,B...] --cache=N[,M...] --reps --seed --threads\n"
                "           --serial --servers --rate --keys --offered --duration\n"
@@ -156,20 +157,19 @@ int RunRack(ArgParser& args) {
   cfg.switch_config.cache_capacity = std::max<size_t>(4096, cache);
   cfg.switch_config.indexes_per_pipe = cfg.switch_config.cache_capacity;
   cfg.switch_config.stats.counter_slots = cfg.switch_config.cache_capacity;
-  cfg.server_template.service_rate_qps = args.GetDouble("rate", 50e3);
+  cfg.server_template.service_rate_qps = args.GetDouble("rate", 50e3, ArgParser::kPositive);
   cfg.server_template.num_cores = static_cast<size_t>(args.GetInt("cores", 1, 1));
   cfg.client_template.reply_timeout = 10 * kMillisecond;
   cfg.controller_config.cache_capacity = cache;
 
   uint64_t num_keys = static_cast<uint64_t>(args.GetInt("keys", 100000, 1));
-  double duration_s = args.GetDouble("duration", 0.5);
+  double duration_s = args.GetDouble("duration", 0.5, ArgParser::kPositive);
   std::string metrics_out = args.GetString("metrics-out", "");
-  double metrics_interval_s = args.GetDouble("metrics-interval", 0.1);
+  double metrics_interval_s = args.GetDouble("metrics-interval", 0.1, ArgParser::kPositive);
   std::string trace_out = args.GetString("trace-out", "");
   std::string profile_out = args.GetString("profile-out", "");
   size_t profile_limit = static_cast<size_t>(args.GetInt("profile-limit", 1 << 18));
-  size_t sim_threads_requested = static_cast<size_t>(args.GetInt("sim-threads", 0));
-  cfg.sim_threads = sim_threads_requested;
+  cfg.sim_threads = static_cast<size_t>(args.GetInt("sim-threads", 0));
   // --trace-out no longer constrains --sim-threads: every record carries a
   // (stream, seq) stamp and WriteJsonl sorts by (t, stream, seq), so the
   // serialized trace is byte-identical at any worker count as long as the
@@ -178,21 +178,17 @@ int RunRack(ArgParser& args) {
   WorkloadConfig wl;
   wl.num_keys = num_keys;
   wl.zipf_alpha = args.GetDouble("zipf", 0.99);
-  wl.write_ratio = args.GetDouble("write-ratio", 0.0);
+  wl.write_ratio = args.GetDouble("write-ratio", 0.0, 0.0, 1.0);
   wl.skewed_writes = args.GetBool("skewed-writes", false);
   wl.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   DriverConfig dc;
-  dc.rate_qps = args.GetDouble("offered", 100e3);
+  dc.rate_qps = args.GetDouble("offered", 100e3, ArgParser::kPositive);
   std::string trace_path = args.GetString("trace", "");
   double check_interval_s = 0;
   bool check_invariants = ParseCheckInvariants(args, &check_interval_s);
   // Every flag is read above, so a malformed one stops the run before any
   // simulation or output file.
   if (!args.ok()) {
-    return 2;
-  }
-  if (metrics_interval_s <= 0) {
-    std::fprintf(stderr, "--metrics-interval must be positive\n");
     return 2;
   }
   if (check_invariants && check_interval_s < 0) {
@@ -205,11 +201,6 @@ int RunRack(ArgParser& args) {
   std::unique_ptr<Profiler> profiler;
 
   Rack rack(cfg);
-  // The effective worker count can differ from the request: a zero-lookahead
-  // topology falls back to the serial dispatcher. Recorded in the metrics
-  // JSON when they differ so downstream comparisons see what actually ran.
-  size_t sim_threads_effective =
-      rack.sim().partitioned() ? rack.sim().sim_threads() : 0;
   if (!profile_out.empty()) {
     Profiler::Options popts;
     popts.spans_per_lane = profile_limit;
@@ -361,16 +352,15 @@ int RunRack(ArgParser& args) {
     bool ok = WriteJsonFile(metrics_out, [&](JsonWriter& w) {
       w.BeginObject();
       w.Field("command", "rack");
-      // Execution config that affects comparability. `schedule` says which
-      // dispatcher actually ran; `sim_threads_effective` appears only when
-      // it differs from the requested --sim-threads (zero-lookahead
-      // fallback) — an unconditional field would break the determinism legs
-      // that byte-diff --sim-threads=1 against =4.
+      // Execution config that affects comparability.
+      // `sim_threads_effective` appears only when the simulator clamped the
+      // requested --sim-threads to the LP count — an unconditional field
+      // would break the determinism legs that byte-diff --sim-threads=1
+      // against =4.
       w.Name("config");
       w.BeginObject();
-      w.Field("schedule", rack.sim().partitioned() ? "windowed" : "serial");
-      if (sim_threads_effective != sim_threads_requested) {
-        w.Field("sim_threads_effective", static_cast<uint64_t>(sim_threads_effective));
+      if (rack.sim().sim_threads() != cfg.sim_threads) {
+        w.Field("sim_threads_effective", static_cast<uint64_t>(rack.sim().sim_threads()));
       }
       // "sse2" | "scalar": the build's vector level. Results never depend
       // on it.
@@ -403,7 +393,8 @@ int RunRack(ArgParser& args) {
 }
 
 // Splits a comma-separated flag value ("0.9,0.95,0.99") into doubles.
-// Returns false (and reports on stderr) on any malformed element.
+// Returns false (and reports on stderr) on any malformed or non-finite
+// element.
 bool ParseDoubleList(const std::string& raw, const char* flag, std::vector<double>* out) {
   size_t start = 0;
   while (start <= raw.size()) {
@@ -411,8 +402,8 @@ bool ParseDoubleList(const std::string& raw, const char* flag, std::vector<doubl
     std::string piece = raw.substr(start, comma == std::string::npos ? comma : comma - start);
     char* end = nullptr;
     double v = std::strtod(piece.c_str(), &end);
-    if (piece.empty() || end == piece.c_str() || *end != '\0') {
-      std::fprintf(stderr, "--%s: '%s' is not a number\n", flag, piece.c_str());
+    if (piece.empty() || end == piece.c_str() || *end != '\0' || !std::isfinite(v)) {
+      std::fprintf(stderr, "--%s: '%s' is not a finite number\n", flag, piece.c_str());
       return false;
     }
     out->push_back(v);
@@ -538,11 +529,11 @@ int RunSweep(ArgParser& args) {
   SweepShared shared;
   shared.servers = static_cast<size_t>(args.GetInt("servers", 8, 1));
   shared.cores = static_cast<size_t>(args.GetInt("cores", 1, 1));
-  shared.rate = args.GetDouble("rate", 50e3);
+  shared.rate = args.GetDouble("rate", 50e3, ArgParser::kPositive);
   shared.keys = static_cast<uint64_t>(args.GetInt("keys", 10'000, 1));
-  shared.offered = args.GetDouble("offered", 100e3);
-  shared.duration_s = args.GetDouble("duration", 0.1);
-  shared.write_ratio = args.GetDouble("write-ratio", 0.0);
+  shared.offered = args.GetDouble("offered", 100e3, ArgParser::kPositive);
+  shared.duration_s = args.GetDouble("duration", 0.1, ArgParser::kPositive);
+  shared.write_ratio = args.GetDouble("write-ratio", 0.0, 0.0, 1.0);
   shared.skewed_writes = args.GetBool("skewed-writes", false);
 
   std::vector<double> zipfs;
@@ -551,7 +542,7 @@ int RunSweep(ArgParser& args) {
       !ParseSizeList(args.GetString("cache", "1000"), "cache", &caches)) {
     return 2;
   }
-  size_t reps = static_cast<size_t>(args.GetInt("reps", 1));
+  size_t reps = static_cast<size_t>(args.GetInt("reps", 1, 1));
 
   SweepOptions opts;
   opts.root_seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -559,10 +550,6 @@ int RunSweep(ArgParser& args) {
   opts.serial = args.GetBool("serial", false);
   std::string metrics_out = args.GetString("metrics-out", "");
   if (!args.ok()) {
-    return 2;
-  }
-  if (reps == 0 || shared.duration_s <= 0) {
-    std::fprintf(stderr, "--reps and --duration must be positive\n");
     return 2;
   }
 
@@ -636,11 +623,11 @@ int RunSweep(ArgParser& args) {
 int RunSaturate(ArgParser& args) {
   SaturationConfig cfg;
   cfg.num_partitions = static_cast<size_t>(args.GetInt("partitions", 128));
-  cfg.server_rate_qps = args.GetDouble("rate", 10e6);
+  cfg.server_rate_qps = args.GetDouble("rate", 10e6, ArgParser::kPositive);
   cfg.num_keys = static_cast<uint64_t>(args.GetInt("keys", 100'000'000));
   cfg.zipf_alpha = args.GetDouble("zipf", 0.99);
   cfg.cache_size = static_cast<size_t>(args.GetInt("cache", 10'000));
-  cfg.write_ratio = args.GetDouble("write-ratio", 0.0);
+  cfg.write_ratio = args.GetDouble("write-ratio", 0.0, 0.0, 1.0);
   cfg.skewed_writes = args.GetBool("skewed-writes", false);
   cfg.write_back = args.GetBool("write-back", false);
   cfg.exact_ranks = std::max<size_t>(cfg.cache_size, 262'144);
@@ -732,7 +719,7 @@ int RunMultiRack(ArgParser& args) {
   MultiRackConfig cfg;
   cfg.num_racks = static_cast<size_t>(args.GetInt("racks", 32));
   cfg.servers_per_rack = static_cast<size_t>(args.GetInt("servers-per-rack", 128));
-  cfg.server_rate_qps = args.GetDouble("rate", 10e6);
+  cfg.server_rate_qps = args.GetDouble("rate", 10e6, ArgParser::kPositive);
   cfg.num_spines = static_cast<size_t>(args.GetInt("spines", cfg.num_racks / 2 + 1));
   cfg.cache_items_per_switch = static_cast<size_t>(args.GetInt("cache", 10'000));
   std::string mode = args.GetString("mode", "leafspine");

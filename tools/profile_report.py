@@ -20,10 +20,11 @@ Default mode prints:
   * the events-per-window histogram (bin 0 = stalled window, bin k covers
     [2^(k-1), 2^k - 1] events);
   * a one-line limiting-layer verdict: the largest attributed bucket and its
-    share.  A partitioned profile is judged by the five DES buckets over the
-    DES lanes' extent; a serial profile records none of them, so it is judged
-    by the nested switch/server/egress stages over the recording lanes'
-    extent.
+    share.  A profile with two or more DES lanes is judged by the five DES
+    buckets over the DES lanes' extent.  With one DES lane (--sim-threads=0
+    or 1) nothing waits at a barrier and execute holds nearly all the time,
+    so the verdict names the largest nested switch/server/egress stage over
+    the recording lanes' extent instead.
 
 Modes:
   --validate         structural validation only (for CI): checks the trace is
@@ -211,13 +212,18 @@ def scaling_report(doc: dict, baseline: dict) -> None:
 
 
 def limiting_layer(lanes: list, des_lanes: list) -> str:
-    """The verdict line: the largest attributed bucket with its share."""
-    if des_lanes:
+    """The verdict line: the largest attributed bucket with its share.
+
+    Several DES lanes: the round buckets say which part of the schedule
+    limits the run.  One DES lane: "execute" would say nothing, so the
+    largest nested stage is named instead.
+    """
+    if len(des_lanes) > 1:
         cats, pool, whole = DES_CATS, des_lanes, "DES-lane wall-clock"
     else:
         cats = SWITCH_CATS + SERVER_CATS
         pool = [l for l in lanes if l.get("spans", 0) > 0]
-        whole = "profiled wall-clock (serial profile, nested stages)"
+        whole = "profiled wall-clock (one DES lane, nested stages)"
     extent = sum(l["last_ns"] - l["first_ns"] for l in pool)
     totals = {c: sum(l["cats"][c]["ns"] for l in pool) for c in cats}
     top = max(cats, key=lambda c: totals[c])
