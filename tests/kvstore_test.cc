@@ -1,5 +1,6 @@
 // Tests for the TommyDS-style hash table and the KV store layers on top.
 
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -154,6 +155,209 @@ TEST(HashDynTest, ClearResets) {
   t.Clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.Find(5), nullptr);
+}
+
+// A value that books every construction and destruction by address, so a
+// test sees each constructed value destroyed exactly once.
+class Tracked {
+ public:
+  explicit Tracked(int v) : v_(v) { Born(); }
+  Tracked(const Tracked& other) : v_(other.v_) { Born(); }
+  Tracked(Tracked&& other) noexcept : v_(other.v_) { Born(); }
+  Tracked& operator=(const Tracked&) = default;
+  Tracked& operator=(Tracked&&) = default;
+  ~Tracked() { EXPECT_EQ(Live().erase(this), 1u) << "destroyed twice or never constructed"; }
+
+  int v() const { return v_; }
+  // Every Tracked constructed and not yet destroyed.
+  static std::set<const Tracked*>& Live() {
+    static std::set<const Tracked*> live;
+    return live;
+  }
+
+ private:
+  void Born() { EXPECT_TRUE(Live().insert(this).second); }
+  int v_;
+};
+
+TEST(HashDynSlabTest, EveryValueIsDestroyedExactlyOnce) {
+  ASSERT_TRUE(Tracked::Live().empty());
+  {
+    HashDyn<int, Tracked> t;
+    for (int i = 0; i < 300; ++i) {  // grows through several chunks
+      t.Upsert(i, Tracked(i));
+    }
+    EXPECT_EQ(Tracked::Live().size(), 300u);
+    for (int i = 0; i < 50; ++i) {  // overwrite
+      EXPECT_FALSE(t.Upsert(i, Tracked(-i)));
+    }
+    EXPECT_EQ(Tracked::Live().size(), 300u);
+    for (int i = 0; i < 280; ++i) {  // erase, shrinking twice
+      EXPECT_TRUE(t.Erase(i));
+      ASSERT_EQ(Tracked::Live().size(), t.size()) << i;
+    }
+    EXPECT_TRUE(t.CheckIntegrity());
+    t.Clear();
+    EXPECT_TRUE(Tracked::Live().empty());
+
+    for (int i = 0; i < 100; ++i) {
+      t.Upsert(i, Tracked(i));
+    }
+    HashDyn<int, Tracked> moved(std::move(t));
+    EXPECT_EQ(Tracked::Live().size(), 100u);
+    ASSERT_NE(moved.Find(7), nullptr);
+    EXPECT_EQ(moved.Find(7)->v(), 7);
+    EXPECT_TRUE(moved.CheckIntegrity());
+
+    HashDyn<int, Tracked> target;
+    for (int i = 0; i < 40; ++i) {
+      target.Upsert(1000 + i, Tracked(i));
+    }
+    target = std::move(moved);  // destroys target's own 40
+    EXPECT_EQ(Tracked::Live().size(), 100u);
+    EXPECT_EQ(target.size(), 100u);
+    EXPECT_EQ(target.Find(1000), nullptr);
+    EXPECT_TRUE(target.CheckIntegrity());
+
+    t.Clear();  // a moved-from table is usable again after Clear
+    EXPECT_TRUE(t.Upsert(1, Tracked(1)));
+    EXPECT_TRUE(t.CheckIntegrity());
+    EXPECT_EQ(Tracked::Live().size(), 101u);
+  }
+  EXPECT_TRUE(Tracked::Live().empty());
+}
+
+TEST(HashDynSlabTest, InsertsAfterEraseReuseTheErasedSlots) {
+  HashDyn<Key, Value, KeyHasher> t;
+  for (uint64_t id = 0; id < 100; ++id) {
+    t.Upsert(Key::FromUint64(id), Value::Filler(id, 64));
+  }
+  std::set<const Value*> erased;
+  for (uint64_t id = 10; id < 20; ++id) {
+    erased.insert(t.Find(Key::FromUint64(id)));
+    ASSERT_TRUE(t.Erase(Key::FromUint64(id)));
+  }
+  std::set<const Value*> reused;
+  for (uint64_t id = 500; id < 510; ++id) {
+    t.Upsert(Key::FromUint64(id), Value::Filler(id, 64));
+    reused.insert(t.Find(Key::FromUint64(id)));
+    EXPECT_TRUE(t.CheckIntegrity());
+  }
+  EXPECT_EQ(reused, erased);
+  // The free list is empty again, so the next insert takes a fresh slot.
+  t.Upsert(Key::FromUint64(600), Value::Filler(600, 64));
+  EXPECT_EQ(erased.count(t.Find(Key::FromUint64(600))), 0u);
+  EXPECT_EQ(*t.Find(Key::FromUint64(505)), Value::Filler(505, 64));
+}
+
+TEST(HashDynSlabTest, ForEachOrderMatchesRecordedChains) {
+  // Insert, erase, grow, shrink, Reserve and shrink again; then the chain
+  // layout, and so ForEach order, must equal the one recorded from the
+  // per-node-allocation table this slab replaced.
+  HashDyn<Key, uint64_t, KeyHasher> t;
+  auto put = [&t](uint64_t id) { t.Upsert(Key::FromUint64(id), id); };
+  auto erase = [&t](uint64_t id) { t.Erase(Key::FromUint64(id)); };
+  for (uint64_t id = 0; id < 100; ++id) {
+    put(id);
+  }
+  for (uint64_t id = 0; id < 100; id += 3) {
+    erase(id);
+  }
+  EXPECT_TRUE(t.CheckIntegrity());
+  for (uint64_t id = 100; id < 300; ++id) {
+    put(id);
+  }
+  EXPECT_EQ(t.bucket_count(), 512u);
+  for (uint64_t id = 0; id < 280; ++id) {
+    erase(id);
+  }
+  EXPECT_EQ(t.bucket_count(), 128u);
+  EXPECT_TRUE(t.CheckIntegrity());
+  t.Reserve(300);
+  for (uint64_t id = 1000; id < 1030; ++id) {
+    put(id);
+  }
+  for (uint64_t id = 285; id < 290; ++id) {
+    erase(id);
+  }
+  for (uint64_t id = 2000; id < 2005; ++id) {
+    put(id);
+  }
+  t.Upsert(Key::FromUint64(1000), 7);
+  EXPECT_EQ(t.bucket_count(), 256u);
+  EXPECT_TRUE(t.CheckIntegrity());
+
+  const std::vector<uint64_t> recorded = {
+      1019, 1012, 1025, 281,  1009, 297,  1029, 1013, 1002, 1004, 295,  2001, 1006,
+      1015, 1008, 299,  1028, 1027, 2002, 2003, 1024, 1018, 2000, 1000, 296,  1011,
+      1020, 1017, 283,  1022, 1001, 1026, 1021, 284,  2004, 298,  1010, 1005, 1016,
+      291,  290,  282,  294,  1023, 1014, 280,  1007, 293,  1003, 292};
+  std::vector<uint64_t> order;
+  t.ForEach([&order](const Key& k, const uint64_t&) { order.push_back(k.AsUint64()); });
+  EXPECT_EQ(order, recorded);
+}
+
+// A key whose == calls are counted.
+struct CountedKey {
+  uint64_t id;
+  static inline int compares = 0;
+  bool operator==(const CountedKey& other) const {
+    ++compares;
+    return id == other.id;
+  }
+};
+// Ids below 2^16 all land in bucket 0 of a table of at most 2^16 buckets,
+// yet no two share a stored hash.
+struct SameBucketHash {
+  size_t operator()(const CountedKey& k) const { return k.id << 16; }
+};
+// All ids share the low 32 bits of their hash, so only the key tells them
+// apart.
+struct SameLow32Hash {
+  size_t operator()(const CountedKey& k) const { return (k.id << 32) | 5; }
+};
+
+TEST(HashDynSlabTest, StoredHashScreensKeyCompares) {
+  HashDyn<CountedKey, int, SameBucketHash> t;
+  for (uint64_t id = 1; id <= 16; ++id) {
+    EXPECT_TRUE(t.Upsert(CountedKey{id}, static_cast<int>(id)));
+  }
+  ASSERT_EQ(t.bucket_count(), 16u);
+  EXPECT_EQ(t.MaxChainLength(), 16u);
+  CountedKey::compares = 0;
+  for (uint64_t id = 1; id <= 16; ++id) {
+    ASSERT_NE(t.Find(CountedKey{id}), nullptr);
+    EXPECT_EQ(*t.Find(CountedKey{id}), static_cast<int>(id));
+  }
+  EXPECT_EQ(t.Find(CountedKey{99}), nullptr);
+  EXPECT_TRUE(t.Erase(CountedKey{9}));
+  EXPECT_FALSE(t.Upsert(CountedKey{3}, 30));
+  // One compare per hit (two Finds each), the erase and the overwrite;
+  // none for the miss.
+  EXPECT_EQ(CountedKey::compares, 16 * 2 + 2);
+  EXPECT_TRUE(t.CheckIntegrity());
+}
+
+TEST(HashDynSlabTest, KeysSharingTheStoredHashStayDistinct) {
+  HashDyn<CountedKey, int, SameLow32Hash> t;
+  for (uint64_t id = 0; id < 12; ++id) {
+    EXPECT_TRUE(t.Upsert(CountedKey{id}, static_cast<int>(id)));
+  }
+  EXPECT_EQ(t.MaxChainLength(), 12u);
+  for (uint64_t id = 0; id < 12; ++id) {
+    ASSERT_NE(t.Find(CountedKey{id}), nullptr);
+    EXPECT_EQ(*t.Find(CountedKey{id}), static_cast<int>(id));
+  }
+  EXPECT_EQ(t.Find(CountedKey{12}), nullptr);
+  EXPECT_TRUE(t.Erase(CountedKey{4}));
+  EXPECT_EQ(t.Find(CountedKey{4}), nullptr);
+  EXPECT_EQ(t.size(), 11u);
+  EXPECT_TRUE(t.CheckIntegrity());
+}
+
+TEST(HashDynSlabTest, ReserveBeyondTwoToThe32BucketsAborts) {
+  HashDyn<uint64_t, uint64_t> t;
+  EXPECT_DEATH(t.Reserve((size_t{1} << 32) + 1), "more than 2\\^32 buckets");
 }
 
 // The table shapes the lookup hints must leave alone. Each recipe is a

@@ -19,12 +19,17 @@ Default mode prints:
   * per-LP busy table (exec ms, windows, events/window, stalled windows);
   * the events-per-window histogram (bin 0 = stalled window, bin k covers
     [2^(k-1), 2^k - 1] events);
+  * the unstaged execute time per lane: execute minus every nested stage,
+    i.e. the event engine, clients and workload, which no stage span books.
+    It is exact only while no stage span nests inside another, so the report
+    checks the timeline for such nesting and says so when it finds any;
   * a one-line limiting-layer verdict: the largest attributed bucket and its
     share.  A profile with two or more DES lanes is judged by the five DES
     buckets over the DES lanes' extent.  With one DES lane (--sim-threads=0
     or 1) nothing waits at a barrier and execute holds nearly all the time,
-    so the verdict names the largest nested switch/server/egress stage over
-    the recording lanes' extent instead.
+    so the verdict names the largest nested switch/server/egress stage, or
+    the unstaged time when that is larger, over the recording lanes' extent
+    instead.
 
 Modes:
   --validate         structural validation only (for CI): checks the trace is
@@ -59,7 +64,10 @@ SWITCH_CATS = ("switch_digest", "switch_match_peek", "switch_value_serve")
 # the switch stages (service completions and transmit-group flushes dispatch
 # from LP events), so they are a breakdown of execute, never an extra bucket.
 SERVER_CATS = ("server_lookup", "server_reply", "egress_flush")
-ALL_CATS = DES_CATS + SWITCH_CATS + SERVER_CATS
+STAGE_CATS = SWITCH_CATS + SERVER_CATS
+ALL_CATS = DES_CATS + STAGE_CATS
+# Execute time that no stage books; a verdict name, not a span category.
+UNSTAGED = "unstaged"
 
 
 def fail(msg: str) -> "NoReturn":
@@ -211,21 +219,46 @@ def scaling_report(doc: dict, baseline: dict) -> None:
           f"{100.0 * eff:.1f}% per-worker scaling efficiency")
 
 
+def unstaged_ns(lane: dict) -> int:
+    """A lane's execute time that no nested stage books."""
+    cats = lane["cats"]
+    return max(0, cats["lp_execute"]["ns"] - sum(cats[c]["ns"] for c in STAGE_CATS))
+
+
+def nested_stage_spans(events: list) -> int:
+    """Counts the timeline's stage spans that start inside an earlier stage
+    span of the same lane.  Unstaged time subtracts every stage from execute
+    once, which double-counts a stage that runs inside another."""
+    spans = sorted((ev["tid"], round(ev["ts"] * 1e3), -round(ev["dur"] * 1e3))
+                   for ev in events
+                   if ev.get("ph") == "X" and ev.get("name") in STAGE_CATS)
+    nested = 0
+    lane, reach = None, 0
+    for tid, start, neg_dur in spans:
+        if tid != lane:
+            lane, reach = tid, start
+        if start < reach:
+            nested += 1
+        reach = max(reach, start - neg_dur)
+    return nested
+
+
 def limiting_layer(lanes: list, des_lanes: list) -> str:
     """The verdict line: the largest attributed bucket with its share.
 
     Several DES lanes: the round buckets say which part of the schedule
     limits the run.  One DES lane: "execute" would say nothing, so the
-    largest nested stage is named instead.
+    largest nested stage, or the unstaged rest of execute, is named instead.
     """
     if len(des_lanes) > 1:
         cats, pool, whole = DES_CATS, des_lanes, "DES-lane wall-clock"
     else:
-        cats = SWITCH_CATS + SERVER_CATS
+        cats = STAGE_CATS + (UNSTAGED,)
         pool = [l for l in lanes if l.get("spans", 0) > 0]
         whole = "profiled wall-clock (one DES lane, nested stages)"
     extent = sum(l["last_ns"] - l["first_ns"] for l in pool)
-    totals = {c: sum(l["cats"][c]["ns"] for l in pool) for c in cats}
+    totals = {c: sum(unstaged_ns(l) if c == UNSTAGED else l["cats"][c]["ns"] for l in pool)
+              for c in cats}
     top = max(cats, key=lambda c: totals[c])
     if extent <= 0 or totals[top] == 0:
         return "Limiting layer: none (no attributed spans)"
@@ -310,6 +343,21 @@ def report(doc: dict, min_attributed: float) -> int:
             print(f"  {cat:<20} {ms(ns_sum):>9.2f} {count:>10} {pkts:>12} {per_pkt}")
         print(f"  server/egress stages cover {pct(server_total, exec_total).strip()} "
               "of execute time")
+
+    # What execute spends outside every stage: the event engine, clients and
+    # workload. Exact only while stages never nest in one another.
+    exec_lanes = [l for l in lanes if l["cats"]["lp_execute"]["ns"] > 0]
+    if exec_lanes and switch_total + server_total > 0:
+        print("\nUnstaged execute (execute minus the nested stages above)")
+        print(f"  {'stage':<10} {'lane':>6} {'execute_ms':>11} {'ms':>9} {'of execute':>11}")
+        for lane in exec_lanes:
+            exec_ns = lane["cats"]["lp_execute"]["ns"]
+            print(f"  {UNSTAGED:<10} {lane['lane']:>6} {ms(exec_ns):>11.2f} "
+                  f"{ms(unstaged_ns(lane)):>9.2f} {pct(unstaged_ns(lane), exec_ns):>11}")
+        nested = nested_stage_spans(doc.get("traceEvents", []))
+        if nested:
+            print(f"  note: {nested} timeline stage span(s) nest inside another stage, "
+                  "so unstaged time reads low")
 
     lps = nc.get("lps", [])
     if lps:
